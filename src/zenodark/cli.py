@@ -7,19 +7,16 @@ trajectory CSV and/or a summary JSON into the output directory.  Exit codes:
 (orthogonality setup, dark-compatibility or parallel-transport violation,
 commutation requirement).
 
-``ZENO_DARK_THREADS`` caps the worker pool used for sweep points.  Sweep
-points are pure computations executed concurrently; files are written only
-by the coordinating thread after all points finish.
+Sweep points run one after another in the calling thread, in the order the
+scenario lists them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +34,7 @@ from .dynamics import (
     continuous_dark_run,
     cyclic_return_fidelity,
     discrete_dark_run,
+    step_count,
     zeno_spectrum,
 )
 from .embedding import adiabatic_alpha_check, embedded_run
@@ -47,14 +45,12 @@ from .errors import (
     PhysicsError,
     UnsupportedVariantError,
 )
-from .paths import GeneratorPath, ModePath, period_of
-from .scenario import Scenario, _DesignedParams, load_scenario
+from .paths import generator_path_of, period_of
+from .scenario import DesignedParams, Scenario, load_scenario
 from .tolerances import PROFILES, ToleranceProfile
 from .trajectory import format_float
 
 __all__ = ["RunReport", "run_scenario", "run_sweep", "run_spectrum", "run_design", "main"]
-
-THREADS_ENV = "ZENO_DARK_THREADS"
 
 
 @dataclass(frozen=True)
@@ -83,40 +79,14 @@ def _jsonable(value):
     return value
 
 
-def _worker_count(n_jobs: int) -> int:
-    env = os.environ.get(THREADS_ENV, "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise ConfigError(f"{THREADS_ENV} must be positive, got {cap}")
-        return min(cap, n_jobs)
-    return min(n_jobs, os.cpu_count() or 1)
-
-
-def _generator_of(scenario: Scenario) -> GeneratorPath:
-    path = scenario.path
-    if isinstance(path, GeneratorPath):
-        return path
-    if isinstance(path, ModePath):
-        return path.to_generator_path()
-    raise ConfigError("this operation needs a generator or mode path")
-
-
 def _instantiated_path(scenario: Scenario, tol: ToleranceProfile):
     """Return (path, target_trajectory_or_None), building designed paths."""
-    if isinstance(scenario.path, _DesignedParams):
+    if isinstance(scenario.path, DesignedParams):
         target, designed = mode_design(
             scenario.path.probabilities, scenario.path.frequencies, tol=tol
         )
         return designed, target
     return scenario.path, None
-
-
-def _steps_of(T: float, dt: float) -> int:
-    return int(round(T / dt))
 
 
 def _require_zero_hamiltonian(scenario: Scenario) -> None:
@@ -149,7 +119,7 @@ def _execute_run(scenario: Scenario, tol: ToleranceProfile):
     extra: dict = {}
 
     if run.mode == "discrete":
-        M = run.M if run.M is not None else _steps_of(run.T, run.tau)
+        M = run.M if run.M is not None else step_count(run.T, run.tau)
         traj = discrete_dark_run(psi0, path, H, run.tau, M, tol=tol)
         metrics = {
             "tau": run.tau,
@@ -169,15 +139,17 @@ def _execute_run(scenario: Scenario, tol: ToleranceProfile):
             "max_norm_deviation": float(np.abs(1.0 - traj.norms).max()),
             "max_orthogonality_residual": float(traj.orthogonality_residual.max()),
         }
+        # paths without a generator, or whose generator does not commute with
+        # H, have no closed form to compare against
         try:
-            gen = _generator_of(scenario)
+            gen = generator_path_of(scenario.path)
             reference = closed_form_solution(
                 psi0, H, gen.generator, gen.initial_state, float(traj.times[-1]), tol=tol
             )
             metrics["final_fidelity_vs_closed_form"] = float(
                 abs(np.vdot(reference, traj.states[-1]))
             )
-        except (ConfigError, CommutatorError):
+        except (UnsupportedVariantError, CommutatorError):
             pass
         return run.mode, metrics, extra, traj
 
@@ -215,7 +187,7 @@ def _execute_run(scenario: Scenario, tol: ToleranceProfile):
     if run.mode == "inverse":
         if target is None:
             raise ConfigError("inverse mode needs a path of type 'designed'")
-        steps = _steps_of(run.T, run.dt)
+        steps = step_count(run.T, run.dt)
         grid = run.dt * np.arange(steps + 1)
         diagnostic = grid[:: max(1, steps // 500)]
         result = design_monitored_state(target, H, diagnostic, tol=tol)
@@ -254,7 +226,7 @@ def _sweep_metric(scenario: Scenario, tol: ToleranceProfile, parameter: str, val
     path, _ = _instantiated_path(scenario, tol)
 
     if parameter == "tau":
-        M = _steps_of(run.T, value)
+        M = step_count(run.T, value)
         traj = discrete_dark_run(psi0, path, H, value, M, tol=tol)
         return float(1.0 - traj.survival_probability[-1])
 
@@ -263,10 +235,10 @@ def _sweep_metric(scenario: Scenario, tol: ToleranceProfile, parameter: str, val
         reference = closed_form_run(psi0, path, H, run.T, value, tol=tol)
         return float(np.linalg.norm(traj.states - reference.states, axis=1).max())
 
-    # parameter == "E": deviation from the dark run at a step resolving E
+    # parameter == "E": deviation from the dark run at a step resolving E;
+    # rounding the step count up keeps dt at or below 0.1 / E
     dt = min(run.dt, 0.1 / value)
-    steps = _steps_of(run.T, dt)
-    dt = run.T / steps
+    dt = run.T / int(np.ceil(run.T / dt - 1e-9))
     traj = embedded_run(psi0, path, value, run.T, dt, tol=tol)
     reference = _dark_reference_states(psi0, path, H, run.T, dt, tol)
     return float(np.linalg.norm(traj.dark_states - reference, axis=1).max())
@@ -293,14 +265,7 @@ def _execute_sweep(scenario: Scenario, tol: ToleranceProfile):
             raise ConfigError("E sweep needs run.T and run.dt")
 
     values = list(sweep.values)
-    workers = _worker_count(len(values))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            metrics = list(
-                pool.map(lambda v: _sweep_metric(scenario, tol, sweep.parameter, v), values)
-            )
-    else:
-        metrics = [_sweep_metric(scenario, tol, sweep.parameter, v) for v in values]
+    metrics = [_sweep_metric(scenario, tol, sweep.parameter, v) for v in values]
 
     safe = np.clip(np.asarray(metrics, dtype=float), 1e-300, None)
     slope = float(np.polyfit(np.log(np.asarray(values)), np.log(safe), 1)[0])
@@ -415,7 +380,7 @@ def run_spectrum(
     scenario = load_scenario(config_path, tol=tol)
     if scenario.initial_state is None:
         raise ConfigError("spectrum needs an 'initial_state'")
-    gen = _generator_of(scenario)
+    gen = generator_path_of(scenario.path)
     spectrum = zeno_spectrum(
         scenario.hamiltonian, gen.generator, gen.initial_state, scenario.initial_state, tol=tol
     )

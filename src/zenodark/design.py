@@ -166,14 +166,13 @@ def validate_dark_compatibility(
     return float(np.abs(phase_rate - energy).max())
 
 
-def _derivative_closure(traj: PrescribedTrajectory, spacing: float):
-    if traj.has_derivative:
-        return traj.derivative_at
+def _stencil_derivative(state_fn, spacing: float):
+    # centered 5-point first derivative of a vector-valued function of time
     offsets = spacing * np.arange(-2.0, 3.0)
     weights = fd_weights(offsets, 0.0, 1)
 
     def derivative(t: float) -> np.ndarray:
-        window = np.stack([traj.state_at(t + o) for o in offsets])
+        window = np.stack([state_fn(t + o) for o in offsets])
         return np.tensordot(weights, window, axes=(0, 0))
 
     return derivative
@@ -205,7 +204,10 @@ def design_monitored_state(
         )
 
     spacing = float(np.median(np.diff(grid))) if grid.size > 1 else 1e-5
-    derivative = _derivative_closure(traj, spacing)
+    if traj.has_derivative:
+        derivative = traj.derivative_at
+    else:
+        derivative = _stencil_derivative(traj.state_at, spacing)
 
     def raw(t: float) -> np.ndarray:
         return H @ traj.state_at(t) - 1j * derivative(t)
@@ -225,13 +227,6 @@ def design_monitored_state(
         g = raw(t)
         return g * prefactor_of(g)
 
-    fd_offsets = spacing * np.arange(-2.0, 3.0)
-    fd_w = fd_weights(fd_offsets, 0.0, 1)
-
-    def derivative_fn(t: float) -> np.ndarray:
-        window = np.stack([state_fn(t + o) for o in fd_offsets])
-        return np.tensordot(fd_w, window, axes=(0, 0))
-
     samples = np.empty(grid.size)
     orth = 0.0
     for i, t in enumerate(grid):
@@ -244,7 +239,7 @@ def design_monitored_state(
             f"designed state fails orthogonality to the target: {orth:.3e}"
         )
 
-    path = DesignedPath(traj.dim, state_fn, derivative_fn, tol=tol)
+    path = DesignedPath(traj.dim, state_fn, _stencil_derivative(state_fn, spacing), tol=tol)
     return DesignResult(
         path=path,
         normalization=normalization,

@@ -31,11 +31,13 @@ from .errors import (
 )
 from .linalg import (
     as_state,
+    fix_phases,
     hermitian_eigendecomposition,
     require_hermitian,
     require_unit,
+    unitary_exp,
 )
-from .paths import GeneratorPath, ModePath, MonitoredPath
+from .paths import MonitoredPath, generator_path_of
 from .tolerances import DEFAULT, ToleranceProfile
 from .trajectory import DarkTrajectory
 
@@ -55,13 +57,33 @@ __all__ = [
 ]
 
 
-def _check_step_count(T: float, dt: float) -> int:
-    if dt <= 0.0 or T <= 0.0:
-        raise InputError("duration and step must be positive")
+def step_count(T: float, dt: float) -> int:
+    """Number of uniform steps of size ``dt`` covering the duration ``T``.
+
+    Raises :class:`InputError` unless ``T`` and ``dt`` are finite and positive
+    and ``T`` spans at least one step.
+    """
+    if not (0.0 < dt < np.inf and 0.0 < T < np.inf):
+        raise InputError("duration and step must be finite and positive")
     steps = int(round(T / dt))
     if steps < 1:
         raise InputError(f"duration {T} shorter than one step {dt}")
     return steps
+
+
+def require_orthogonal(f, psi0, tol: ToleranceProfile = DEFAULT, drift: float = 0.0) -> None:
+    """Dark-evolution setup check ``|<f|psi0>| <= tol.setup_orthogonality + drift``.
+
+    Raises :class:`OrthogonalityError` otherwise.  ``drift`` widens the bound
+    for runs whose first monitored state lies one step after the start.
+    """
+    overlap = abs(np.vdot(f, psi0))
+    bound = tol.setup_orthogonality + drift
+    if overlap > bound:
+        raise OrthogonalityError(
+            f"initial state must be orthogonal to the monitored state: "
+            f"|<f|psi0>| = {overlap:.3e} exceeds {bound:.3e}"
+        )
 
 
 def discrete_dark_step(psi, f_next, H, tau: float, tol: ToleranceProfile = DEFAULT) -> np.ndarray:
@@ -76,11 +98,9 @@ def discrete_dark_step(psi, f_next, H, tau: float, tol: ToleranceProfile = DEFAU
         raise InputError(f"state squared norm {sq:.12g} exceeds 1")
     f = require_unit(f_next, tol, name="monitored state")
     H = require_hermitian(H, tol, name="hamiltonian")
-    if tau <= 0.0:
-        raise InputError("measurement interval must be positive")
-    dec = hermitian_eigendecomposition(H, tol)
-    v = dec.eigenvectors
-    evolved = v @ (np.exp(-1j * dec.eigenvalues * tau) * (v.conj().T @ psi))
+    if not 0.0 < tau < np.inf:
+        raise InputError("measurement interval must be finite and positive")
+    evolved = unitary_exp(H, tau, tol) @ psi
     return evolved - np.vdot(f, evolved) * f
 
 
@@ -94,7 +114,7 @@ def discrete_dark_run(
 ) -> DarkTrajectory:
     """Run ``M`` measurement steps with the monitored state sampled at ``n tau``.
 
-    The initial state must be orthogonal to the first measured state
+    The initial state has to be orthogonal to the first measured state
     ``f(tau)``; states orthogonal to ``f(0)`` pass as well, up to the drift
     the path accumulates over a single step.
 
@@ -106,24 +126,18 @@ def discrete_dark_run(
     """
     psi0 = require_unit(psi0, tol, name="initial state")
     H = require_hermitian(H, tol, name="hamiltonian")
-    if tau <= 0.0:
-        raise InputError("measurement interval must be positive")
+    if not 0.0 < tau < np.inf:
+        raise InputError("measurement interval must be finite and positive")
     if M < 1:
         raise InputError("need at least one measurement")
 
     times = tau * np.arange(M + 1)
     f_seq, fdot_seq = path.evaluate_many(times[1:])
-    overlap = abs(np.vdot(f_seq[0], psi0))
-    allowance = tol.setup_orthogonality + 2.0 * tau * float(np.linalg.norm(fdot_seq[0]))
-    if overlap > allowance:
-        raise OrthogonalityError(
-            f"initial state must be orthogonal to the first monitored state: "
-            f"|<f(tau)|psi0>| = {overlap:.3e} exceeds {allowance:.3e}"
-        )
+    require_orthogonal(
+        f_seq[0], psi0, tol, drift=2.0 * tau * float(np.linalg.norm(fdot_seq[0]))
+    )
 
-    dec = hermitian_eigendecomposition(H, tol)
-    v = dec.eigenvectors
-    U = (v * np.exp(-1j * dec.eigenvalues * tau)) @ v.conj().T
+    U = unitary_exp(H, tau, tol)
     states, norms, orth = kernels.discrete_loop(
         np.ascontiguousarray(U), np.ascontiguousarray(f_seq), psi0
     )
@@ -180,19 +194,13 @@ def continuous_dark_run(
     """
     psi0 = require_unit(psi0, tol, name="initial state")
     H = require_hermitian(H, tol, name="hamiltonian")
-    steps = _check_step_count(T, dt)
+    steps = step_count(T, dt)
 
     times = dt * np.arange(steps + 1)
     midpoints = dt * (np.arange(steps) + 0.5)
     f_grid, _ = path.evaluate_many(times)
     f_mid, fdot_mid = path.evaluate_many(midpoints)
-
-    overlap = abs(np.vdot(f_grid[0], psi0))
-    if overlap > tol.setup_orthogonality:
-        raise OrthogonalityError(
-            f"initial state must be orthogonal to the monitored state: "
-            f"|<f(0)|psi0>| = {overlap:.3e} exceeds {tol.setup_orthogonality:.3e}"
-        )
+    require_orthogonal(f_grid[0], psi0, tol)
 
     states, norms, orth = kernels.continuous_loop(
         np.ascontiguousarray(H),
@@ -222,14 +230,17 @@ def comoving_hamiltonian(H, K, f0, t: float, tol: ToleranceProfile = DEFAULT) ->
     H = require_hermitian(H, tol, name="hamiltonian")
     K = require_hermitian(K, tol, name="path generator")
     f0 = require_unit(f0, tol, name="monitored state")
-    dec = hermitian_eigendecomposition(K, tol)
-    v = dec.eigenvectors
-    rot = (v * np.exp(1j * dec.eigenvalues * t)) @ v.conj().T
+    rot = unitary_exp(K, -t, tol)
     P0 = np.eye(f0.shape[0], dtype=np.complex128) - np.outer(f0, f0.conj())
     return P0 @ (rot @ H @ rot.conj().T - K) @ P0
 
 
-def _require_commuting(H: np.ndarray, K: np.ndarray, tol: ToleranceProfile) -> None:
+def _commuting_setup(psi0, H, K, f0, tol: ToleranceProfile):
+    # validated (psi0, H, K, f0) of a static co-moving problem: [K, H] = 0, psi0 _|_ f0
+    psi0 = require_unit(psi0, tol, name="initial state")
+    H = require_hermitian(H, tol, name="hamiltonian")
+    K = require_hermitian(K, tol, name="path generator")
+    f0 = require_unit(f0, tol, name="monitored state")
     comm = np.linalg.norm(K @ H - H @ K)
     bound = tol.commutator_rel * np.linalg.norm(K) * np.linalg.norm(H)
     if comm > bound:
@@ -238,6 +249,8 @@ def _require_commuting(H: np.ndarray, K: np.ndarray, tol: ToleranceProfile) -> N
             "no closed form exists, use continuous_dark_run for time-ordered "
             "integration"
         )
+    require_orthogonal(f0, psi0, tol)
+    return psi0, H, K, f0
 
 
 def _complement_basis(f0: np.ndarray) -> np.ndarray:
@@ -271,29 +284,13 @@ def zeno_spectrum(
     dependent and there is no static spectrum) and an initial state
     orthogonal to ``f0`` so that the expansion coefficients are complete.
     """
-    H = require_hermitian(H, tol, name="hamiltonian")
-    K = require_hermitian(K, tol, name="path generator")
-    f0 = require_unit(f0, tol, name="monitored state")
-    psi0 = require_unit(psi0, tol, name="initial state")
-    _require_commuting(H, K, tol)
-    overlap = abs(np.vdot(f0, psi0))
-    if overlap > tol.setup_orthogonality:
-        raise OrthogonalityError(
-            f"initial state must be orthogonal to the monitored state: "
-            f"|<f0|psi0>| = {overlap:.3e}"
-        )
-
+    psi0, H, K, f0 = _commuting_setup(psi0, H, K, f0, tol)
     B = _complement_basis(f0)
     restricted = B.conj().T @ (H - K) @ B
     restricted = 0.5 * (restricted + restricted.conj().T)
     dec = hermitian_eigendecomposition(restricted, tol)
-    modes = B @ dec.eigenvectors
     # reapply the phase convention in the full space
-    for k in range(modes.shape[1]):
-        col = modes[:, k]
-        idx = np.flatnonzero(np.abs(col) > tol.eigenvector_phase_floor)
-        pivot = col[idx[0]]
-        modes[:, k] = col * (pivot.conjugate() / abs(pivot))
+    modes = fix_phases(B @ dec.eigenvectors, tol.eigenvector_phase_floor)
     coefficients = modes.conj().T @ psi0
     return ZenoSpectrum(
         frequencies=dec.eigenvalues,
@@ -355,68 +352,9 @@ def three_level_frequencies(a, Omega, tol: ToleranceProfile = DEFAULT) -> ThreeL
     )
 
 
-def closed_form_solution(
-    psi0, H, K, f0, t: float, tol: ToleranceProfile = DEFAULT
-) -> np.ndarray:
-    """Spectral solution ``exp(-i K t) exp(-i Htilde t) psi0`` for ``[K,H] = 0``.
-
-    ``Htilde = P(0)(H - K)P(0)``.  Equals the mode expansion
-    ``sum_k c_k exp(-i w_k t) exp(-i K t) u_k`` over the complement spectrum.
-    """
-    psi0 = require_unit(psi0, tol, name="initial state")
-    H = require_hermitian(H, tol, name="hamiltonian")
-    K = require_hermitian(K, tol, name="path generator")
-    f0 = require_unit(f0, tol, name="monitored state")
-    _require_commuting(H, K, tol)
-    overlap = abs(np.vdot(f0, psi0))
-    if overlap > tol.setup_orthogonality:
-        raise OrthogonalityError(
-            f"initial state must be orthogonal to the monitored state: "
-            f"|<f0|psi0>| = {overlap:.3e}"
-        )
-    P0 = np.eye(f0.shape[0], dtype=np.complex128) - np.outer(f0, f0.conj())
-    Ht = P0 @ (H - K) @ P0
-    Ht = 0.5 * (Ht + Ht.conj().T)
-    decH = hermitian_eigendecomposition(Ht, tol)
-    decK = hermitian_eigendecomposition(K, tol)
-    inner = decH.eigenvectors @ (
-        np.exp(-1j * decH.eigenvalues * t) * (decH.eigenvectors.conj().T @ psi0)
-    )
-    return decK.eigenvectors @ (
-        np.exp(-1j * decK.eigenvalues * t) * (decK.eigenvectors.conj().T @ inner)
-    )
-
-
-def closed_form_run(
-    psi0, path: MonitoredPath, H, T: float, dt: float, tol: ToleranceProfile = DEFAULT
-) -> DarkTrajectory:
-    """Sample the closed-form solution on a uniform grid as a trajectory.
-
-    The path must carry a generator (generator or mode variant) commuting
-    with ``H``.
-    """
-    if isinstance(path, GeneratorPath):
-        gen = path
-    elif isinstance(path, ModePath):
-        gen = path.to_generator_path()
-    else:
-        raise UnsupportedVariantError(
-            "closed-form runs need a generator or mode path"
-        )
-    psi0 = require_unit(psi0, tol, name="initial state")
-    H = require_hermitian(H, tol, name="hamiltonian")
-    K = gen.generator
-    f0 = gen.initial_state
-    _require_commuting(H, K, tol)
-    overlap = abs(np.vdot(f0, psi0))
-    if overlap > tol.setup_orthogonality:
-        raise OrthogonalityError(
-            f"initial state must be orthogonal to the monitored state: "
-            f"|<f0|psi0>| = {overlap:.3e}"
-        )
-    steps = _check_step_count(T, dt)
-    times = dt * np.arange(steps + 1)
-
+def _closed_form_states(psi0, H, K, f0, times: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
+    # rows: exp(-i K t) exp(-i Htilde t) psi0 at each t, Htilde = P(0)(H - K)P(0)
+    psi0, H, K, f0 = _commuting_setup(psi0, H, K, f0, tol)
     P0 = np.eye(f0.shape[0], dtype=np.complex128) - np.outer(f0, f0.conj())
     Ht = P0 @ (H - K) @ P0
     Ht = 0.5 * (Ht + Ht.conj().T)
@@ -430,7 +368,31 @@ def closed_form_run(
     rotated = np.exp(-1j * np.outer(times, decK.eigenvalues)) * (
         states @ decK.eigenvectors.conj()
     )
-    states = rotated @ decK.eigenvectors.T
+    return rotated @ decK.eigenvectors.T
+
+
+def closed_form_solution(
+    psi0, H, K, f0, t: float, tol: ToleranceProfile = DEFAULT
+) -> np.ndarray:
+    """Spectral solution ``exp(-i K t) exp(-i Htilde t) psi0`` for ``[K,H] = 0``.
+
+    ``Htilde = P(0)(H - K)P(0)``.  Equals the mode expansion
+    ``sum_k c_k exp(-i w_k t) exp(-i K t) u_k`` over the complement spectrum.
+    """
+    return _closed_form_states(psi0, H, K, f0, np.array([float(t)]), tol)[0]
+
+
+def closed_form_run(
+    psi0, path: MonitoredPath, H, T: float, dt: float, tol: ToleranceProfile = DEFAULT
+) -> DarkTrajectory:
+    """Sample the closed-form solution on a uniform grid as a trajectory.
+
+    The path must carry a generator (generator or mode variant) commuting
+    with ``H``.
+    """
+    gen = generator_path_of(path)
+    times = dt * np.arange(step_count(T, dt) + 1)
+    states = _closed_form_states(psi0, H, gen.generator, gen.initial_state, times, tol)
 
     f_grid, _ = path.evaluate_many(times)
     norms = np.linalg.norm(states, axis=1)

@@ -20,7 +20,8 @@ import warnings
 import numpy as np
 
 from . import kernels
-from .errors import InputError, OrthogonalityError, RegimeWarning, ResolutionError
+from .dynamics import require_orthogonal, step_count
+from .errors import InputError, RegimeWarning, ResolutionError
 from .linalg import require_unit
 from .paths import MonitoredPath
 from .stencil import differentiate_series, moving_average
@@ -57,28 +58,18 @@ def embedded_run(
     psi0 = require_unit(psi0, tol, name="initial state")
     if energy < 0.0:
         raise InputError("energy shift must be nonnegative")
-    if dt <= 0.0 or T <= 0.0:
-        raise InputError("duration and step must be positive")
+    steps = step_count(T, dt)
     if energy > 0.0 and dt > _DT_CAP / energy * (1.0 + 1e-9):
         raise ResolutionError(
             f"dt = {dt:g} too coarse for energy {energy:g}: need dt <= "
             f"{_DT_CAP / energy:g} to resolve the fast phase"
         )
-    steps = int(round(T / dt))
-    if steps < 1:
-        raise InputError(f"duration {T} shorter than one step {dt}")
 
     times = dt * np.arange(steps + 1)
     midpoints = dt * (np.arange(steps) + 0.5)
     f_grid, _ = path.evaluate_many(times)
     f_mid, _ = path.evaluate_many(midpoints)
-
-    overlap = abs(np.vdot(f_grid[0], psi0))
-    if overlap > tol.setup_orthogonality:
-        raise OrthogonalityError(
-            f"initial state must be orthogonal to the monitored state: "
-            f"|<f(0)|psi0>| = {overlap:.3e} exceeds {tol.setup_orthogonality:.3e}"
-        )
+    require_orthogonal(f_grid[0], psi0, tol)
 
     full = kernels.embedded_loop(
         np.ascontiguousarray(f_mid), psi0, float(energy), float(dt)

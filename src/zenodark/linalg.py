@@ -25,6 +25,7 @@ __all__ = [
     "as_operator",
     "require_hermitian",
     "require_unit",
+    "fix_phases",
     "hermitian_eigendecomposition",
     "unitary_exp",
     "projector_from_state",
@@ -32,7 +33,7 @@ __all__ = [
 
 
 def as_state(v, dim: int | None = None) -> np.ndarray:
-    """Coerce ``v`` to a 1-D complex128 array, optionally checking its length."""
+    """Coerce ``v`` to a finite 1-D complex128 array, optionally checking its length."""
     arr = np.asarray(v, dtype=np.complex128)
     if arr.ndim != 1:
         raise InputError(f"state must be one-dimensional, got shape {arr.shape}")
@@ -40,16 +41,20 @@ def as_state(v, dim: int | None = None) -> np.ndarray:
         raise InputError(f"state dimension must be at least 2, got {arr.shape[0]}")
     if dim is not None and arr.shape[0] != dim:
         raise InputError(f"state has dimension {arr.shape[0]}, expected {dim}")
+    if not np.isfinite(arr).all():
+        raise InputError("state has non-finite entries")
     return arr
 
 
 def as_operator(A, dim: int | None = None) -> np.ndarray:
-    """Coerce ``A`` to a square complex128 matrix, optionally checking its size."""
+    """Coerce ``A`` to a finite square complex128 matrix, optionally checking its size."""
     arr = np.asarray(A, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InputError(f"operator must be a square matrix, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise InputError(f"operator has dimension {arr.shape[0]}, expected {dim}")
+    if not np.isfinite(arr).all():
+        raise InputError("operator has non-finite entries")
     return arr
 
 
@@ -82,7 +87,7 @@ def require_unit(v, tol: ToleranceProfile = DEFAULT, name: str = "state") -> np.
     return arr / nrm
 
 
-def _fix_phases(vectors: np.ndarray, floor: float) -> np.ndarray:
+def fix_phases(vectors: np.ndarray, floor: float) -> np.ndarray:
     """Rotate each column so its first significant component is real positive."""
     out = vectors.copy()
     for k in range(out.shape[1]):
@@ -137,7 +142,7 @@ def hermitian_eigendecomposition(
     """
     arr = require_hermitian(A, tol)
     w, v = np.linalg.eigh(arr)
-    return EigenDecomposition(w, _fix_phases(v, tol.eigenvector_phase_floor))
+    return EigenDecomposition(w, fix_phases(v, tol.eigenvector_phase_floor))
 
 
 def unitary_exp(A, t: float, tol: ToleranceProfile = DEFAULT) -> np.ndarray:

@@ -14,8 +14,10 @@ Four interchangeable representations:
 
 ``evaluate(t)`` returns the pair ``(f, fdot)`` with ``f`` unit-norm
 (renormalized when drift exceeds the profile threshold).  Generator and mode
-paths are interconvertible; ``period_of`` detects commensurate frequency
-content by continued-fraction approximation.
+paths are interconvertible (a generator path evaluates through its mode
+form); ``generator_path_of`` gives the generator form closed-form solutions
+need, and ``period_of`` detects commensurate frequency content by
+continued-fraction approximation.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "ModePath",
     "SampledPath",
     "DesignedPath",
+    "generator_path_of",
     "period_of",
 ]
 
@@ -68,6 +71,15 @@ def _renormalized(f: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
     return f
 
 
+def _renormalized_rows(f: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
+    norms = np.linalg.norm(f, axis=1)
+    drift = np.abs(norms - 1.0) > tol.path_renormalize_drift
+    if drift.any():
+        f = f.copy()
+        f[drift] /= norms[drift, None]
+    return f
+
+
 class GeneratorPath(MonitoredPath):
     """Monitored state rotated by a constant Hermitian generator."""
 
@@ -82,23 +94,13 @@ class GeneratorPath(MonitoredPath):
         self._frequencies = dec.eigenvalues
         self._modes = dec.eigenvectors
         self._coefficients = self._modes.conj().T @ self.initial_state
+        self._mode_path = self.to_mode_path()
 
     def evaluate(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        phased = np.exp(-1j * self._frequencies * t) * self._coefficients
-        f = self._modes @ phased
-        fdot = self._modes @ (-1j * self._frequencies * phased)
-        return _renormalized(f, self._tol), fdot
+        return self._mode_path.evaluate(t)
 
     def evaluate_many(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        phased = np.exp(-1j * np.outer(ts, self._frequencies)) * self._coefficients
-        f = phased @ self._modes.T
-        fdot = (-1j * self._frequencies * phased) @ self._modes.T
-        norms = np.linalg.norm(f, axis=1)
-        drift = np.abs(norms - 1.0) > self._tol.path_renormalize_drift
-        if drift.any():
-            f[drift] /= norms[drift, None]
-        return f, fdot
+        return self._mode_path.evaluate_many(ts)
 
     def to_mode_path(self) -> "ModePath":
         """Equivalent mode representation over the generator's eigenbasis."""
@@ -143,11 +145,7 @@ class ModePath(MonitoredPath):
         phased = np.exp(-1j * np.outer(ts, self.frequencies)) * self.amplitudes
         f = phased @ self.modes.T
         fdot = (-1j * self.frequencies * phased) @ self.modes.T
-        norms = np.linalg.norm(f, axis=1)
-        drift = np.abs(norms - 1.0) > self._tol.path_renormalize_drift
-        if drift.any():
-            f[drift] /= norms[drift, None]
-        return f, fdot
+        return _renormalized_rows(f, self._tol), fdot
 
     def to_generator_path(self) -> GeneratorPath:
         """Equivalent generator representation.
@@ -247,12 +245,22 @@ class DesignedPath(MonitoredPath):
             return super().evaluate_many(ts)
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         f, fdot = self._many_fn(ts)
-        norms = np.linalg.norm(f, axis=1)
-        drift = np.abs(norms - 1.0) > self._tol.path_renormalize_drift
-        if drift.any():
-            f = f.copy()
-            f[drift] /= norms[drift, None]
-        return f, fdot
+        return _renormalized_rows(f, self._tol), fdot
+
+
+def generator_path_of(path: MonitoredPath) -> GeneratorPath:
+    """Generator form of a generator or mode path.
+
+    Raises
+    ------
+    UnsupportedVariantError
+        For sampled and designed paths, which carry no generator.
+    """
+    if isinstance(path, GeneratorPath):
+        return path
+    if isinstance(path, ModePath):
+        return path.to_generator_path()
+    raise UnsupportedVariantError("this operation needs a generator or mode path")
 
 
 def _active_spectrum(path: MonitoredPath) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,9 @@
 """Scenario configuration: a documented JSON schema for runs and sweeps.
 
 Complex numbers are written as ``[re, im]`` pairs (plain numbers are read as
-real); matrices are row-major nested lists.  Top-level keys::
+real); matrices are row-major nested lists.  Every number must be finite:
+``NaN`` and ``Infinity``, which Python's JSON reader accepts, are schema
+violations.  Top-level keys::
 
     {
       "name":          optional string (defaults to the file stem),
@@ -37,6 +39,7 @@ physics violations surface later from the run itself (exit code 3).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,7 +49,9 @@ from .errors import ConfigError
 from .paths import GeneratorPath, ModePath, MonitoredPath, SampledPath
 from .tolerances import DEFAULT, ToleranceProfile
 
-__all__ = ["RunSettings", "SweepSettings", "OutputSettings", "Scenario", "load_scenario"]
+__all__ = [
+    "RunSettings", "SweepSettings", "OutputSettings", "Scenario", "DesignedParams", "load_scenario"
+]
 
 _TOP_KEYS = {
     "name",
@@ -64,18 +69,21 @@ _SWEEP_PARAMETERS = {"tau", "dt", "E"}
 _FORMATS = {"csv", "json"}
 
 
+def _is_finite_number(value) -> bool:
+    # false for NaN, +-Infinity and integers too large for a float
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
 def _complex_scalar(value, where: str) -> complex:
-    if isinstance(value, bool):
-        raise ConfigError(f"{where}: expected a number or [re, im] pair")
-    if isinstance(value, (int, float)):
+    if _is_finite_number(value):
         return complex(value, 0.0)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    ):
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_finite_number, value)):
         return complex(value[0], value[1])
-    raise ConfigError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+    raise ConfigError(f"{where}: expected a finite number or [re, im] pair, got {value!r}")
 
 
 def _complex_vector(value, where: str, length: int | None = None) -> np.ndarray:
@@ -99,15 +107,15 @@ def _real_vector(value, where: str) -> np.ndarray:
         raise ConfigError(f"{where}: expected a non-empty list")
     out = []
     for x in value:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError(f"{where}: expected real numbers, got {x!r}")
+        if not _is_finite_number(x):
+            raise ConfigError(f"{where}: expected finite real numbers, got {x!r}")
         out.append(float(x))
     return np.asarray(out)
 
 
 def _positive_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-        raise ConfigError(f"{where}: expected a positive number, got {value!r}")
+    if not _is_finite_number(value) or value <= 0:
+        raise ConfigError(f"{where}: expected a finite positive number, got {value!r}")
     return float(value)
 
 
@@ -194,13 +202,13 @@ def _parse_path(block, dim: int, tol: ToleranceProfile) -> MonitoredPath:
                     "path: probabilities and frequencies must have one entry per "
                     "dimension"
                 )
-            return _DesignedParams(dim, probabilities, frequencies)
+            return DesignedParams(dim, probabilities, frequencies)
     except KeyError as exc:
         raise ConfigError(f"path: missing key {exc.args[0]!r} for type {kind!r}") from exc
     raise ConfigError(f"path: unknown type {kind!r}")
 
 
-class _DesignedParams(MonitoredPath):
+class DesignedParams(MonitoredPath):
     """Placeholder carrying mode-design parameters until the runner builds it."""
 
     def __init__(self, dim: int, probabilities: np.ndarray, frequencies: np.ndarray):

@@ -2,8 +2,10 @@
 
 Every numerical threshold used by the package lives in one frozen record so
 that a run is fully characterized by its inputs plus one
-:class:`ToleranceProfile`.  ``DEFAULT`` carries the documented defaults;
-``STRICT`` tightens the setup and constraint checks for paranoid runs.
+:class:`ToleranceProfile`.  Each field is read by at least one check in the
+package (``tests/test_tolerances.py`` enforces this).  ``DEFAULT`` carries the
+documented defaults; ``STRICT`` tightens the setup, path and design checks for
+paranoid runs.
 """
 
 from dataclasses import dataclass, replace
@@ -15,10 +17,7 @@ class ToleranceProfile:
     hermiticity: float = 1e-12          # max |A - A^dag| entrywise, absolute
     unit_state: float = 1e-10           # | ||v|| - 1 | for states required unit
     state_norm_cap: float = 1e-12       # slack above 1 allowed for squared norms
-    projector_idempotence: float = 1e-12
-    eigen_reconstruction_rel: float = 1e-10   # Frobenius, relative to ||A||_F
     eigenvector_phase_floor: float = 1e-10    # first component counted significant
-    unitarity: float = 1e-12
 
     # Monitored paths
     path_norm: float = 1e-10            # | ||f(t)|| - 1 | at evaluation
@@ -31,8 +30,6 @@ class ToleranceProfile:
     # Run setup and spectra
     setup_orthogonality: float = 1e-8   # |<f|psi0>| at run start
     commutator_rel: float = 1e-10       # ||[K,H]||_F relative to ||K||_F ||H||_F
-    spectrum_orthogonality: float = 1e-10
-    coefficient_sum: float = 1e-10      # | sum |c_k|^2 - 1 |
 
     # Inverse design
     compatibility: float = 1e-8         # dark-compatibility residual cutoff
@@ -50,7 +47,6 @@ STRICT = replace(
     compatibility=1e-10,
     path_norm=1e-12,
     period_return=1e-10,
-    spectrum_orthogonality=1e-12,
 )
 
 PROFILES = {"default": DEFAULT, "strict": STRICT}

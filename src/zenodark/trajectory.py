@@ -7,7 +7,6 @@ that lists the column order.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -98,11 +97,6 @@ class DarkTrajectory:
         )
         _write_rows(stream, self.csv_columns(), rows)
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
-
 
 @dataclass(frozen=True)
 class EmbeddedTrajectory:
@@ -168,8 +162,3 @@ class EmbeddedTrajectory:
             ]
         )
         _write_rows(stream, self.csv_columns(), rows)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()

@@ -111,6 +111,28 @@ class TestRunCommand:
         assert main(["run", cfg, "--quiet"]) == 3
         assert "orthogonal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("T", float("nan")),
+            ("T", float("inf")),
+            ("hamiltonian", float("nan")),
+            ("initial_state", float("nan")),
+        ],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, key, value):
+        cfg_dict = continuous_config(str(tmp_path / "out"))
+        if key == "T":
+            cfg_dict["run"]["T"] = value
+        elif key == "hamiltonian":
+            cfg_dict["hamiltonian"] = [[value, 0, 0], [0, 0, 0], [0, 0, 0]]
+        else:
+            cfg_dict["initial_state"][0] = [value, 0]
+        cfg = write(tmp_path, cfg_dict)
+        assert main(["run", cfg, "--quiet"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "scenario_trajectory.csv").exists()
+
     def test_malformed_frequency_list_exits_2(self, tmp_path):
         cfg_dict = continuous_config(str(tmp_path / "out"))
         cfg_dict["path"]["frequencies"] = [0, None, 2]
@@ -228,26 +250,13 @@ class TestSweepCommand:
         assert len(sweep_csv) == 4
 
     def test_energy_sweep_slope(self, tmp_path):
-        out = tmp_path / "out"
-        cfg_dict = continuous_config(str(out))
-        cfg_dict["run"] = {"mode": "embedded", "T": 2.0, "dt": 0.001, "E": 100.0}
-        cfg_dict["sweep"] = {"parameter": "E", "values": [50.0, 100.0, 200.0, 400.0]}
-        cfg = write(tmp_path, cfg_dict)
-        report = run_sweep(cfg)
-        assert report.metrics["slope"] == pytest.approx(-1.0, abs=0.15)
-
-    def test_sweep_results_independent_of_worker_count(self, tmp_path, monkeypatch):
-        cfg_dict = continuous_config(str(tmp_path / "a"))
-        cfg_dict["run"] = {"mode": "discrete", "tau": 0.01, "T": 1.0}
-        cfg_dict["sweep"] = {"parameter": "tau", "values": [0.01, 0.005, 0.0025]}
-        cfg = write(tmp_path, cfg_dict)
-        monkeypatch.setenv("ZENO_DARK_THREADS", "3")
-        run_sweep(cfg)
-        monkeypatch.setenv("ZENO_DARK_THREADS", "1")
-        run_sweep(cfg, out_dir=str(tmp_path / "b"))
-        bytes_a = (tmp_path / "a" / "scenario_sweep.csv").read_bytes()
-        bytes_b = (tmp_path / "b" / "scenario_sweep.csv").read_bytes()
-        assert bytes_a == bytes_b
+        # 150.27: T * E / 0.1 is not whole, so the step count must round up
+        for values in ([50.0, 100.0, 200.0, 400.0], [50.0, 100.0, 150.27]):
+            cfg_dict = continuous_config(str(tmp_path / "out"))
+            cfg_dict["run"] = {"mode": "embedded", "T": 2.0, "dt": 0.001, "E": 100.0}
+            cfg_dict["sweep"] = {"parameter": "E", "values": values}
+            report = run_sweep(write(tmp_path, cfg_dict))
+            assert report.metrics["slope"] == pytest.approx(-1.0, abs=0.15)
 
     def test_sweep_without_block_exits_2(self, tmp_path):
         cfg = write(tmp_path, continuous_config(str(tmp_path / "out")))
@@ -257,24 +266,6 @@ class TestSweepCommand:
         cfg_dict = continuous_config(str(tmp_path / "out"))
         cfg_dict["sweep"] = {"parameter": "tau", "values": [0.01, 0.005, 0.0025]}
         cfg = write(tmp_path, cfg_dict)
-        assert main(["sweep", cfg, "--quiet"]) == 2
-
-    def test_thread_cap_respected(self, tmp_path, monkeypatch):
-        out = tmp_path / "out"
-        cfg_dict = continuous_config(str(out))
-        cfg_dict["run"] = {"mode": "discrete", "tau": 0.01, "T": 1.0}
-        cfg_dict["sweep"] = {"parameter": "tau", "values": [0.01, 0.005, 0.0025]}
-        cfg = write(tmp_path, cfg_dict)
-        monkeypatch.setenv("ZENO_DARK_THREADS", "1")
-        report = run_sweep(cfg)
-        assert report.metrics["slope"] == pytest.approx(1.0, abs=0.1)
-
-    def test_invalid_thread_env_exits_2(self, tmp_path, monkeypatch):
-        cfg_dict = continuous_config(str(tmp_path / "out"))
-        cfg_dict["run"] = {"mode": "discrete", "tau": 0.01, "T": 1.0}
-        cfg_dict["sweep"] = {"parameter": "tau", "values": [0.01, 0.005, 0.0025]}
-        cfg = write(tmp_path, cfg_dict)
-        monkeypatch.setenv("ZENO_DARK_THREADS", "many")
         assert main(["sweep", cfg, "--quiet"]) == 2
 
 

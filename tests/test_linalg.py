@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from zenodark.errors import HermiticityError, NormalizationError
+from zenodark.errors import HermiticityError, InputError, NormalizationError
 from zenodark.linalg import (
+    as_operator,
+    as_state,
     hermitian_eigendecomposition,
     projector_from_state,
     unitary_exp,
@@ -136,3 +138,11 @@ class TestProjector:
     def test_rejects_non_unit(self):
         with pytest.raises(NormalizationError):
             projector_from_state(np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_rejected(bad):
+    with pytest.raises(InputError, match="non-finite"):
+        as_state([1.0, bad])
+    with pytest.raises(InputError, match="non-finite"):
+        as_operator([[0.0, bad], [bad, 0.0]])

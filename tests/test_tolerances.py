@@ -1,4 +1,9 @@
-from zenodark.tolerances import DEFAULT, PROFILES, STRICT
+import dataclasses
+import re
+from pathlib import Path
+
+import zenodark
+from zenodark.tolerances import DEFAULT, PROFILES, STRICT, ToleranceProfile
 
 
 def test_profiles_registry():
@@ -20,3 +25,15 @@ def test_profiles_are_frozen():
 
     with pytest.raises(dataclasses.FrozenInstanceError):
         DEFAULT.hermiticity = 1.0
+
+
+def test_every_field_is_read():
+    package = Path(zenodark.__file__).parent
+    code = "\n".join(
+        p.read_text() for p in package.glob("*.py") if p.name != "tolerances.py"
+    )
+    names = [f.name for f in dataclasses.fields(ToleranceProfile)]
+    unread = [n for n in names if not re.search(rf"\.{n}\b", code)]
+    overridden = [n for n in names if getattr(STRICT, n) != getattr(DEFAULT, n)]
+    assert overridden and not set(overridden) & set(unread), "STRICT tightens an unread field"
+    assert unread == []
