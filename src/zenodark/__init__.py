@@ -32,7 +32,6 @@ from .dynamics import (
     zeno_spectrum,
 )
 from .embedding import adiabatic_alpha_check, embedded_run
-from .kernels import backend
 from .linalg import (
     EigenDecomposition,
     hermitian_eigendecomposition,
@@ -71,7 +70,6 @@ __all__ = [
     "ToleranceProfile",
     "ZenoSpectrum",
     "adiabatic_alpha_check",
-    "backend",
     "closed_form_run",
     "closed_form_solution",
     "comoving_hamiltonian",

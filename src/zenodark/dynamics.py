@@ -57,17 +57,24 @@ __all__ = [
 ]
 
 
+# Longest run accepted: every step stores several complex N-vectors (states,
+# sampled path) and a CSV row, about 3 GB for 10^7 steps at N = 3.
+MAX_STEPS = 10_000_000
+
+
 def step_count(T: float, dt: float) -> int:
     """Number of uniform steps of size ``dt`` covering the duration ``T``.
 
     Raises :class:`InputError` unless ``T`` and ``dt`` are finite and positive
-    and ``T`` spans at least one step.
+    and ``T`` spans at least one and at most :data:`MAX_STEPS` steps.
     """
     if not (0.0 < dt < np.inf and 0.0 < T < np.inf):
         raise InputError("duration and step must be finite and positive")
     steps = int(round(T / dt))
     if steps < 1:
         raise InputError(f"duration {T} shorter than one step {dt}")
+    if steps > MAX_STEPS:
+        raise InputError(f"{steps} steps of {dt} exceed the limit of {MAX_STEPS} steps")
     return steps
 
 
@@ -128,8 +135,8 @@ def discrete_dark_run(
     H = require_hermitian(H, tol, name="hamiltonian")
     if not 0.0 < tau < np.inf:
         raise InputError("measurement interval must be finite and positive")
-    if M < 1:
-        raise InputError("need at least one measurement")
+    if not 1 <= M <= MAX_STEPS:
+        raise InputError(f"need between 1 and {MAX_STEPS} measurements, got {M}")
 
     times = tau * np.arange(M + 1)
     f_seq, fdot_seq = path.evaluate_many(times[1:])

@@ -32,10 +32,18 @@ def _state_columns(n: int) -> list[str]:
     return [f"re_psi_{j}" for j in range(n)] + [f"im_psi_{j}" for j in range(n)]
 
 
+# Rows turned into Python floats at a time: a whole 50,000-row trajectory
+# at once would hold about 20 MB of them.
+_CSV_BLOCK_ROWS = 256
+
+
 def _write_rows(stream, columns: list[str], rows: np.ndarray) -> None:
     stream.write("#schema=1 " + ",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(format_float(x) for x in row) + "\n")
+    # "%.17g" writes every value exactly as format_float does
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
+        block = rows[start : start + _CSV_BLOCK_ROWS].tolist()
+        stream.writelines(line % tuple(row) for row in block)
 
 
 @dataclass(frozen=True)

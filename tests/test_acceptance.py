@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Timed criteria measure the computation itself; the module-scoped
-warmup fixture triggers kernel compilation beforehand so JIT latency is not
-billed against the physics.
+warmup fixture makes the first kernel calls beforehand so one-time setup is
+not billed against the physics.
 """
 
 import json

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ import zenodark as zd
 from zenodark.cli import main, run_scenario, run_sweep
 
 S3 = 3**-0.5
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def write(tmp_path, payload, name="scenario.json"):
@@ -132,6 +136,22 @@ class TestRunCommand:
         assert main(["run", cfg, "--quiet"]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "out" / "scenario_trajectory.csv").exists()
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            {"mode": "continuous", "T": 1e15, "dt": 1.0},
+            {"mode": "discrete", "tau": 0.01, "M": 10**12},
+        ],
+    )
+    def test_oversized_run_exits_2(self, tmp_path, capsys, run):
+        cfg_dict = continuous_config(str(tmp_path / "out"))
+        cfg_dict["run"] = run
+        cfg = write(tmp_path, cfg_dict)
+        assert main(["run", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert str(zd.dynamics.MAX_STEPS) in err
 
     def test_malformed_frequency_list_exits_2(self, tmp_path):
         cfg_dict = continuous_config(str(tmp_path / "out"))
@@ -310,3 +330,30 @@ class TestSpectrumFromModePath:
         np.testing.assert_allclose(
             payload["spectrum"]["omegas"], [-(1.0 + S3), -(1.0 - S3)], atol=1e-8
         )
+
+
+
+# sha256 of the committed scenarios' CSV output: any change to the
+# propagation, sampling or CSV formatting arithmetic shows here
+COMMITTED_CSV_SHA256 = {
+    "continuous_three_level": "8ab52403d144bd6fa92d69215ecc37ad4fb347efeb887ac2db5a391d36f2559d",
+    "inverse_design": "d6579daf9b739860faae3f07952db5518066fef8f951a708d3ccecb3bf33db56",
+    "embedding_energy_sweep": "a7fd7d1934b45db711d7474b3626c88878d33a53095737262e0c5560f93ca615",
+    "discrete_tau_sweep": "0ff9f2103c4dc5e95354b756ee69176940e381474bd7bc99089c0e1894f16c7d",
+}
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("run", "continuous_three_level"),
+        ("design", "inverse_design"),
+        ("sweep", "embedding_energy_sweep"),
+        ("sweep", "discrete_tau_sweep"),
+    ],
+)
+def test_committed_scenario_csv_sha256_unchanged(tmp_path, command, name):
+    config = str(SCENARIOS / f"{name}.json")
+    assert main([command, config, "--quiet", "--out", str(tmp_path)]) == 0
+    (csv,) = tmp_path.glob("*.csv")
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == COMMITTED_CSV_SHA256[name]

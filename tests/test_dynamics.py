@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zenodark as zd
 from zenodark.errors import (
@@ -437,3 +438,22 @@ class TestCyclicReturn:
     def test_aperiodic_rejected(self, three_level):
         with pytest.raises(UnsupportedVariantError):
             zd.cyclic_return_fidelity(three_level.spectrum, None)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_continuous_run_preserves_norm_and_matches_closed_form(n, seed):
+    # H and K share eigenvectors, so [K, H] = 0 and the closed form applies
+    rng = np.random.default_rng(seed)
+    V = np.linalg.qr(random_hermitian(rng, n))[0]
+    H = (V * rng.uniform(-1.0, 1.0, n)) @ V.conj().T
+    K = (V * rng.uniform(-1.0, 1.0, n)) @ V.conj().T
+    f0 = random_unit(rng, n)
+    psi0 = random_unit(rng, n)
+    psi0 = psi0 - np.vdot(f0, psi0) * f0
+    psi0 /= np.linalg.norm(psi0)
+    path = zd.GeneratorPath(K, f0)
+    traj = zd.continuous_dark_run(psi0, path, H, T=1.0, dt=1e-3)
+    exact = zd.closed_form_run(psi0, path, H, T=1.0, dt=1e-3)
+    assert np.abs(traj.norms - 1.0).max() <= 1e-12
+    np.testing.assert_allclose(traj.states[-1], exact.states[-1], atol=1e-6)
