@@ -30,7 +30,7 @@ from .errors import (
     ParallelTransportError,
     UndefinedPhaseError,
 )
-from .linalg import as_state, require_hermitian
+from .linalg import as_state, require_hermitian, row_norms_and_overlaps
 from .paths import DesignedPath
 from .stencil import differentiate_series, fd_weights
 from .tolerances import DEFAULT, ToleranceProfile
@@ -128,21 +128,22 @@ class ModeTrajectory(PrescribedTrajectory):
         return np.exp(-1j * np.outer(grid, self.frequencies)) * self._roots
 
     def derivatives_on(self, grid: np.ndarray) -> np.ndarray:
-        return self.states_on(grid) * (-1j * self.frequencies)
+        grid = np.atleast_1d(np.asarray(grid, dtype=float))
+        phases = np.exp(-1j * np.outer(grid, self.frequencies))
+        return -1j * self.frequencies * self._roots * phases
 
 
 @dataclass(frozen=True)
 class DesignResult:
     """Designed monitored state together with its diagnostics.
 
-    ``normalization`` maps time to the positive prefactor that makes the
-    designed state unit; ``compatibility_residual`` is the worst violation
-    of the dark-compatibility constraint on the design grid, and
+    ``normalization_samples`` are the positive prefactors that make the
+    designed state unit on ``grid``; ``compatibility_residual`` is the worst
+    violation of the dark-compatibility constraint on the design grid, and
     ``orthogonality_residual`` the worst ``|<psi(t)|f(t)>|``.
     """
 
     path: DesignedPath
-    normalization: object
     compatibility_residual: float
     orthogonality_residual: float
     grid: np.ndarray
@@ -166,16 +167,16 @@ def validate_dark_compatibility(
     return float(np.abs(phase_rate - energy).max())
 
 
-def _stencil_derivative(state_fn, spacing: float):
-    # centered 5-point first derivative of a vector-valued function of time
+def _stencil_derivative(states_on, spacing: float):
+    # centered 5-point first derivative of a vector-valued function on a grid
     offsets = spacing * np.arange(-2.0, 3.0)
     weights = fd_weights(offsets, 0.0, 1)
 
-    def derivative(t: float) -> np.ndarray:
-        window = np.stack([state_fn(t + o) for o in offsets])
+    def derivatives_on(ts: np.ndarray) -> np.ndarray:
+        window = np.stack([states_on(ts + o) for o in offsets])
         return np.tensordot(weights, window, axes=(0, 0))
 
-    return derivative
+    return derivatives_on
 
 
 def design_monitored_state(
@@ -205,44 +206,37 @@ def design_monitored_state(
 
     spacing = float(np.median(np.diff(grid))) if grid.size > 1 else 1e-5
     if traj.has_derivative:
-        derivative = traj.derivative_at
+        target_derivatives = traj.derivatives_on
     else:
-        derivative = _stencil_derivative(traj.state_at, spacing)
+        target_derivatives = _stencil_derivative(traj.states_on, spacing)
 
-    def raw(t: float) -> np.ndarray:
-        return H @ traj.state_at(t) - 1j * derivative(t)
-
-    def prefactor_of(g: np.ndarray) -> float:
-        nsq = float(np.linalg.norm(g) ** 2)
-        if nsq < tol.degenerate_norm_sq:
+    def designed(ts: np.ndarray):
+        # unit designed states, their prefactors and |<psi|f>| on a grid
+        states = traj.states_on(ts)
+        g = states @ H.T - 1j * target_derivatives(ts)
+        norms, overlaps = row_norms_and_overlaps(states, g)
+        nsq = norms**2
+        if np.any(nsq < tol.degenerate_norm_sq):
             raise DegenerateTargetError(
                 "target is stationary: nothing to monitor, designed state undefined"
             )
-        return nsq ** -0.5
+        prefactors = nsq**-0.5
+        return g * prefactors[:, None], prefactors, overlaps * prefactors
 
-    def normalization(t: float) -> float:
-        return prefactor_of(raw(t))
-
-    def state_fn(t: float) -> np.ndarray:
-        g = raw(t)
-        return g * prefactor_of(g)
-
-    samples = np.empty(grid.size)
-    orth = 0.0
-    for i, t in enumerate(grid):
-        g = raw(float(t))
-        samples[i] = prefactor_of(g)
-        overlap = abs(np.vdot(traj.state_at(float(t)), g)) * samples[i]
-        orth = max(orth, float(overlap))
+    _, samples, overlaps = designed(grid)
+    orth = float(overlaps.max())
     if orth > 10.0 * tol.compatibility:
         raise CompatibilityError(
             f"designed state fails orthogonality to the target: {orth:.3e}"
         )
 
-    path = DesignedPath(traj.dim, state_fn, _stencil_derivative(state_fn, spacing), tol=tol)
+    def states_on(ts: np.ndarray) -> np.ndarray:
+        return designed(ts)[0]
+
+    derivatives_on = _stencil_derivative(states_on, spacing)
+    path = DesignedPath(traj.dim, lambda ts: (states_on(ts), derivatives_on(ts)), tol=tol)
     return DesignResult(
         path=path,
-        normalization=normalization,
         compatibility_residual=residual,
         orthogonality_residual=orth,
         grid=grid,
@@ -284,17 +278,11 @@ def mode_design(
     amplitudes = prefactor * np.sqrt(traj.probabilities) * traj.frequencies
     freqs = traj.frequencies
 
-    def state_fn(t: float) -> np.ndarray:
-        return amplitudes * np.exp(-1j * freqs * t)
-
-    def derivative_fn(t: float) -> np.ndarray:
-        return -1j * freqs * amplitudes * np.exp(-1j * freqs * t)
-
-    def many_fn(ts: np.ndarray):
+    def sample(ts: np.ndarray):
         phased = np.exp(-1j * np.outer(ts, freqs)) * amplitudes
         return phased, phased * (-1j * freqs)
 
-    path = DesignedPath(traj.dim, state_fn, derivative_fn, many_fn=many_fn, tol=tol)
+    path = DesignedPath(traj.dim, sample, tol=tol)
     return traj, path
 
 
@@ -308,9 +296,11 @@ def _times_states(traj):
 def parallel_transport_residual(traj) -> float:
     """Discrete proxy for ``|<psi|psidot>|`` along a trajectory.
 
-    ``max_i |<psi_i|psi_{i+1}> - ||psi_i|| ||psi_{i+1}||| / dt_i``; zero for
-    perfectly parallel-transported (phase-free) motion and approximately the
-    energy expectation for free evolution.
+    ``max_i |Im <psi_i|psi_{i+1}>| / (||psi_i|| ||psi_{i+1}|| dt_i)``; the
+    real part of the overlap, which carries the ``O(dt ||psidot||^2)``
+    shrinkage of any moving state, is left out, so the estimate vanishes as
+    ``O(dt^2)`` for parallel-transported motion and approximates the energy
+    expectation for free evolution.
     """
     times, states = _times_states(traj)
     if states.shape[0] < 2:
@@ -318,7 +308,7 @@ def parallel_transport_residual(traj) -> float:
     overlaps = np.einsum("ij,ij->i", states[:-1].conj(), states[1:])
     norms = np.linalg.norm(states, axis=1)
     steps = np.diff(times)
-    return float((np.abs(overlaps - norms[:-1] * norms[1:]) / steps).max())
+    return float((np.abs(overlaps.imag) / (norms[:-1] * norms[1:] * steps)).max())
 
 
 def pancharatnam_phase(traj, tol: ToleranceProfile = DEFAULT) -> float:

@@ -5,10 +5,10 @@ dense steps per run.  The continuous loop works in chunks of midpoints: it
 builds the chunk's effective Hamiltonians as one ``(k, n, n)`` stack, calls
 ``np.linalg.eigh`` once on it and forms the phases and adjoint eigenvectors
 for the whole chunk, so only the matrix-vector recurrence runs step by step
-in Python.  Norms and overlaps are filled per chunk with stacked ``matmul``,
-which rounds exactly like the per-row ``np.linalg.norm`` and ``np.vdot``
-(``einsum`` and ``norm(axis=1)`` do not); the outputs are bitwise those of
-a plain per-step loop.
+in Python.  Norms and overlaps are filled per chunk by
+``linalg.row_norms_and_overlaps``, which rounds like the per-row
+``np.linalg.norm`` and ``np.vdot``; the outputs are bitwise those of a plain
+per-step loop.
 
 ``python3 perfbench/run.py`` times the loops inside full CLI runs.
 """
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import row_norms_and_overlaps
+
 # Bytes of one complex (k, n, n) stack per chunk: bounds the chunk's
 # temporaries independently of the run length.
 _CHUNK_BYTES = 1 << 16
@@ -24,14 +26,6 @@ _CHUNK_BYTES = 1 << 16
 
 def _chunk_steps(n: int) -> int:
     return max(1, _CHUNK_BYTES // (16 * n * n))
-
-
-def _norms_and_overlaps(f, states):
-    # row-wise ||psi|| and |<f|psi>|, rounded as np.linalg.norm and np.vdot per row
-    re, im = states.real, states.imag
-    norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])
-    orth = np.abs(np.conj(f)[:, None, :] @ states[:, :, None])
-    return norms[:, 0, 0], orth[:, 0, 0]
 
 
 def discrete_loop(U, f_seq, psi0):
@@ -53,7 +47,7 @@ def discrete_loop(U, f_seq, psi0):
             psi = U @ psi
             psi = psi - np.vdot(f, psi) * f
             states[s + 1] = psi
-        norms[a + 1 : b + 1], orth[a + 1 : b + 1] = _norms_and_overlaps(
+        norms[a + 1 : b + 1], orth[a + 1 : b + 1] = row_norms_and_overlaps(
             f_seq[a:b], states[a + 1 : b + 1]
         )
     return states, norms, orth
@@ -86,7 +80,7 @@ def continuous_loop(H, f_grid, f_mid, fdot_mid, psi0, dt):
         for s in range(b - a):
             psi = v[s] @ (ph[s] * (vh[s] @ psi))
             states[a + s + 1] = psi
-        norms[a + 1 : b + 1], orth[a + 1 : b + 1] = _norms_and_overlaps(
+        norms[a + 1 : b + 1], orth[a + 1 : b + 1] = row_norms_and_overlaps(
             f_grid[a + 1 : b + 1], states[a + 1 : b + 1]
         )
     return states, norms, orth

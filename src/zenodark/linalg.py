@@ -29,6 +29,7 @@ __all__ = [
     "hermitian_eigendecomposition",
     "unitary_exp",
     "projector_from_state",
+    "row_norms_and_overlaps",
 ]
 
 
@@ -167,3 +168,16 @@ def projector_from_state(f, tol: ToleranceProfile = DEFAULT) -> np.ndarray:
     g = require_unit(f, tol, name="monitored state")
     n = g.shape[0]
     return np.eye(n, dtype=np.complex128) - np.outer(g, g.conj())
+
+
+def row_norms_and_overlaps(f: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``||psi_i||`` and ``|<f_i|psi_i>|`` of two ``(k, n)`` stacks.
+
+    Stacked ``matmul`` rounds exactly like ``np.linalg.norm`` and ``np.vdot``
+    applied row by row (``einsum`` and ``norm(axis=1)`` do not), so grid
+    diagnostics match a per-point loop bit for bit.
+    """
+    re, im = states.real, states.imag
+    norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])
+    overlaps = np.abs(np.conj(f)[:, None, :] @ states[:, :, None])
+    return norms[:, 0, 0], overlaps[:, 0, 0]

@@ -1,22 +1,24 @@
 """Time-varying monitored states ``f(t)`` and their derivatives.
 
-Four interchangeable representations:
+Every representation is a grid sampler: it implements ``_sample(ts)``,
+returning the raw ``(f, fdot)`` rows on a time grid, and
+``MonitoredPath.evaluate_many`` is the one evaluator on top of it.  It
+renormalizes rows whose norm drifts beyond the profile threshold;
+``evaluate(t)`` is its single-point case.
 
-``GeneratorPath``
-    ``f(t) = exp(-i K t) f(0)`` for a time-independent Hermitian generator K.
 ``ModePath``
     ``f(t) = sum_j a_j exp(-i W_j t) |k_j>`` over orthonormal modes.
+``GeneratorPath``
+    ``f(t) = exp(-i K t) f(0)`` for a time-independent Hermitian generator
+    K: the mode path over K's eigenbasis.
 ``SampledPath``
     discrete unit samples on an ascending time grid, interpolated on the
     unit sphere and differentiated with fourth-order stencils.
 ``DesignedPath``
-    a closure produced by the inverse-design module.
+    a grid sampler produced by the inverse-design module.
 
-``evaluate(t)`` returns the pair ``(f, fdot)`` with ``f`` unit-norm
-(renormalized when drift exceeds the profile threshold).  Generator and mode
-paths are interconvertible (a generator path evaluates through its mode
-form); ``generator_path_of`` gives the generator form closed-form solutions
-need, and ``period_of`` detects commensurate frequency content by
+``generator_path_of`` gives the generator form closed-form solutions need,
+and ``period_of`` detects commensurate frequency content by
 continued-fraction approximation.
 """
 
@@ -28,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, InputError, UnsupportedVariantError
-from .linalg import as_state, hermitian_eigendecomposition, require_hermitian, require_unit
+from .linalg import hermitian_eigendecomposition, require_hermitian, require_unit
 from .stencil import differentiate_series
 from .tolerances import DEFAULT, ToleranceProfile
 
@@ -46,67 +48,36 @@ _AMPLITUDE_FLOOR = 1e-12
 
 
 class MonitoredPath:
-    """Common interface of all monitored-state representations."""
+    """Common interface of all monitored-state representations.
+
+    Subclasses implement ``_sample(ts)``, the raw ``(f, fdot)`` rows on a
+    float grid; ``evaluate_many`` is the one evaluator built on it.
+    """
 
     dim: int
 
-    def evaluate(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(f(t), fdot(t))`` with ``f`` unit-norm."""
+    def _sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def evaluate_many(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluate on a whole grid; rows follow ``ts``."""
+        """Return ``(f, fdot)`` on a whole grid, rows following ``ts``.
+
+        Rows of ``f`` whose norm drifts from one by more than
+        ``tol.path_renormalize_drift`` are renormalized.
+        """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        f = np.empty((ts.size, self.dim), dtype=np.complex128)
-        fdot = np.empty_like(f)
-        for i, t in enumerate(ts):
-            f[i], fdot[i] = self.evaluate(float(t))
+        f, fdot = self._sample(ts)
+        norms = np.linalg.norm(f, axis=1)
+        drift = np.abs(norms - 1.0) > self._tol.path_renormalize_drift
+        if drift.any():
+            f = f.copy()
+            f[drift] /= norms[drift, None]
         return f, fdot
 
-
-def _renormalized(f: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
-    nrm = np.linalg.norm(f)
-    if abs(nrm - 1.0) > tol.path_renormalize_drift:
-        return f / nrm
-    return f
-
-
-def _renormalized_rows(f: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
-    norms = np.linalg.norm(f, axis=1)
-    drift = np.abs(norms - 1.0) > tol.path_renormalize_drift
-    if drift.any():
-        f = f.copy()
-        f[drift] /= norms[drift, None]
-    return f
-
-
-class GeneratorPath(MonitoredPath):
-    """Monitored state rotated by a constant Hermitian generator."""
-
-    def __init__(self, generator, initial_state, tol: ToleranceProfile = DEFAULT):
-        self.generator = require_hermitian(generator, tol, name="path generator")
-        self.initial_state = require_unit(initial_state, tol, name="initial monitored state")
-        if self.generator.shape[0] != self.initial_state.shape[0]:
-            raise InputError("generator and initial monitored state dimensions differ")
-        self.dim = self.initial_state.shape[0]
-        self._tol = tol
-        dec = hermitian_eigendecomposition(self.generator, tol)
-        self._frequencies = dec.eigenvalues
-        self._modes = dec.eigenvectors
-        self._coefficients = self._modes.conj().T @ self.initial_state
-        self._mode_path = self.to_mode_path()
-
     def evaluate(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        return self._mode_path.evaluate(t)
-
-    def evaluate_many(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._mode_path.evaluate_many(ts)
-
-    def to_mode_path(self) -> "ModePath":
-        """Equivalent mode representation over the generator's eigenbasis."""
-        return ModePath(
-            self._coefficients, self._frequencies, self._modes, tol=self._tol
-        )
+        """Return ``(f(t), fdot(t))`` with ``f`` unit-norm."""
+        f, fdot = self.evaluate_many([t])
+        return f[0], fdot[0]
 
 
 class ModePath(MonitoredPath):
@@ -134,20 +105,13 @@ class ModePath(MonitoredPath):
         self.dim = self.modes.shape[0]
         self._tol = tol
 
-    def evaluate(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        phased = self.amplitudes * np.exp(-1j * self.frequencies * t)
-        f = self.modes @ phased
-        fdot = self.modes @ (-1j * self.frequencies * phased)
-        return _renormalized(f, self._tol), fdot
-
-    def evaluate_many(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    def _sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phased = np.exp(-1j * np.outer(ts, self.frequencies)) * self.amplitudes
         f = phased @ self.modes.T
         fdot = (-1j * self.frequencies * phased) @ self.modes.T
-        return _renormalized_rows(f, self._tol), fdot
+        return f, fdot
 
-    def to_generator_path(self) -> GeneratorPath:
+    def to_generator_path(self) -> "GeneratorPath":
         """Equivalent generator representation.
 
         Modes outside the given set are assigned frequency zero, which does
@@ -157,6 +121,27 @@ class ModePath(MonitoredPath):
         K = 0.5 * (K + K.conj().T)
         f0 = self.modes @ self.amplitudes
         return GeneratorPath(K, f0, tol=self._tol)
+
+
+class GeneratorPath(ModePath):
+    """Monitored state rotated by a constant Hermitian generator.
+
+    A mode path over the generator's eigenbasis: the eigenvalues are the
+    frequencies and the amplitudes are the initial state's components.
+    """
+
+    def __init__(self, generator, initial_state, tol: ToleranceProfile = DEFAULT):
+        self.generator = require_hermitian(generator, tol, name="path generator")
+        self.initial_state = require_unit(initial_state, tol, name="initial monitored state")
+        if self.generator.shape[0] != self.initial_state.shape[0]:
+            raise InputError("generator and initial monitored state dimensions differ")
+        dec = hermitian_eigendecomposition(self.generator, tol)
+        modes = dec.eigenvectors
+        super().__init__(modes.conj().T @ self.initial_state, dec.eigenvalues, modes, tol=tol)
+
+    def to_mode_path(self) -> ModePath:
+        """Equivalent mode representation over the generator's eigenbasis."""
+        return ModePath(self.amplitudes, self.frequencies, self.modes, tol=self._tol)
 
 
 class SampledPath(MonitoredPath):
@@ -192,60 +177,51 @@ class SampledPath(MonitoredPath):
         self._tol = tol
         self._derivatives = differentiate_series(self.samples, self.times)
 
-    def evaluate(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+    def _sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t0, t1 = self.times[0], self.times[-1]
         slack = 1e-12 * max(1.0, abs(t0), abs(t1))
-        if t < t0 - slack or t > t1 + slack:
+        inside = (ts >= t0 - slack) & (ts <= t1 + slack)
+        if not inside.all():
+            t = ts[~inside][0]
             raise DomainError(
                 f"t = {t:.12g} outside sampled range [{t0:.12g}, {t1:.12g}]"
             )
-        t = min(max(t, t0), t1)
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        i = min(max(i, 0), self.times.size - 2)
+        ts = np.clip(ts, t0, t1)
+        i = np.searchsorted(self.times, ts, side="right") - 1
+        i = np.clip(i, 0, self.times.size - 2)
         ta, tb = self.times[i], self.times[i + 1]
-        u = (t - ta) / (tb - ta)
+        u = ((ts - ta) / (tb - ta))[:, None]
         a, b = self.samples[i], self.samples[i + 1]
-        overlap = np.vdot(a, b)
-        theta = float(np.angle(overlap))
+        overlap = np.sum(a.conj() * b, axis=1)[:, None]
+        theta = np.angle(overlap)
         b_aligned = b * np.exp(-1j * theta)
-        cosw = min(max(float(np.abs(overlap)), -1.0), 1.0)
-        omega = math.acos(cosw)
-        if omega < 1e-9:
-            geo = (1.0 - u) * a + u * b_aligned
-            geo /= np.linalg.norm(geo)
-        else:
-            geo = (
-                math.sin((1.0 - u) * omega) * a + math.sin(u * omega) * b_aligned
-            ) / math.sin(omega)
-        f = geo * np.exp(1j * theta * u)
+        omega = np.arccos(np.minimum(np.abs(overlap), 1.0))
+        linear = omega < 1e-9
+        chord = (1.0 - u) * a + u * b_aligned
+        chord /= np.linalg.norm(chord, axis=1, keepdims=True)
+        arc = (np.sin((1.0 - u) * omega) * a + np.sin(u * omega) * b_aligned) / np.sin(
+            np.where(linear, 1.0, omega)
+        )
+        f = np.where(linear, chord, arc) * np.exp(1j * theta * u)
 
         fdot = (1.0 - u) * self._derivatives[i] + u * self._derivatives[i + 1]
-        fdot = fdot - np.real(np.vdot(f, fdot)) * f
-        return _renormalized(f, self._tol), fdot
+        fdot = fdot - np.real(np.sum(f.conj() * fdot, axis=1))[:, None] * f
+        return f, fdot
 
 
 class DesignedPath(MonitoredPath):
-    """Monitored state produced by inverse design, held as callables."""
+    """Monitored state produced by inverse design.
 
-    def __init__(self, dim: int, state_fn, derivative_fn, many_fn=None,
-                 tol: ToleranceProfile = DEFAULT):
+    ``sample(ts)`` maps a float grid to the ``(f, fdot)`` rows.
+    """
+
+    def __init__(self, dim: int, sample, tol: ToleranceProfile = DEFAULT):
         self.dim = int(dim)
-        self._state_fn = state_fn
-        self._derivative_fn = derivative_fn
-        self._many_fn = many_fn
+        self._sampler = sample
         self._tol = tol
 
-    def evaluate(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        f = as_state(self._state_fn(t), self.dim)
-        fdot = as_state(self._derivative_fn(t), self.dim)
-        return _renormalized(f, self._tol), fdot
-
-    def evaluate_many(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self._many_fn is None:
-            return super().evaluate_many(ts)
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        f, fdot = self._many_fn(ts)
-        return _renormalized_rows(f, self._tol), fdot
+    def _sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._sampler(ts)
 
 
 def generator_path_of(path: MonitoredPath) -> GeneratorPath:
@@ -264,16 +240,12 @@ def generator_path_of(path: MonitoredPath) -> GeneratorPath:
 
 
 def _active_spectrum(path: MonitoredPath) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(path, GeneratorPath):
-        amps, freqs = path._coefficients, path._frequencies
-    elif isinstance(path, ModePath):
-        amps, freqs = path.amplitudes, path.frequencies
-    else:
+    if not isinstance(path, ModePath):
         raise UnsupportedVariantError(
             "period detection needs a generator or mode path"
         )
-    active = np.abs(amps) > _AMPLITUDE_FLOOR
-    return amps[active], freqs[active]
+    active = np.abs(path.amplitudes) > _AMPLITUDE_FLOOR
+    return path.amplitudes[active], path.frequencies[active]
 
 
 def period_of(path: MonitoredPath, tol: ToleranceProfile = DEFAULT) -> float | None:
@@ -310,8 +282,7 @@ def period_of(path: MonitoredPath, tol: ToleranceProfile = DEFAULT) -> float | N
         common = math.gcd(common, abs(frac.numerator) * (denominator_lcm // frac.denominator))
     period = 2.0 * math.pi * denominator_lcm / (abs(d_star) * common)
 
-    f_end, _ = path.evaluate(period)
-    f_start, _ = path.evaluate(0.0)
+    (f_start, f_end), _ = path.evaluate_many([0.0, period])
     mismatch = np.linalg.norm(f_end * np.exp(1j * ref * period) - f_start)
     if mismatch > tol.period_return:
         return None

@@ -216,7 +216,7 @@ class DesignedParams(MonitoredPath):
         self.probabilities = probabilities
         self.frequencies = frequencies
 
-    def evaluate(self, t: float):
+    def _sample(self, ts):
         raise ConfigError(
             "designed paths must be instantiated by the runner before evaluation"
         )

@@ -342,6 +342,16 @@ COMMITTED_CSV_SHA256 = {
     "discrete_tau_sweep": "0ff9f2103c4dc5e95354b756ee69176940e381474bd7bc99089c0e1894f16c7d",
 }
 
+# sha256 of each committed scenario's summary, without the run-dependent
+# "duration_seconds" and "files", re-dumped with sorted keys
+COMMITTED_SUMMARY_SHA256 = {
+    "continuous_three_level": "dbc52c98f0ee29668c76d5932fbae50dcb7e2dcd04d9ace57c9bd8284f3496ed",
+    "inverse_design": "966bb66cd1ed3fc20b9de3dbcfdeae18e9af07a190b48ef806cbfb656a245af0",
+    "embedding_energy_sweep": "fdc3c16b5c2e2dd61e002726cab3ba9b2623cea242d37578410a0bc816bd3428",
+    "discrete_tau_sweep": "01d54c6e9ed03f573b8fbdda8e9f930c2ad0378762ce02cc615e65dc5de97de7",
+    "spectrum_three_level": "9a5f4c34e5dc35b8112d8f7f8c3be8425e32704a587e2e57444e82e7cf1decb8",
+}
+
 
 @pytest.mark.parametrize(
     "command, name",
@@ -350,10 +360,17 @@ COMMITTED_CSV_SHA256 = {
         ("design", "inverse_design"),
         ("sweep", "embedding_energy_sweep"),
         ("sweep", "discrete_tau_sweep"),
+        ("spectrum", "spectrum_three_level"),
     ],
 )
 def test_committed_scenario_csv_sha256_unchanged(tmp_path, command, name):
     config = str(SCENARIOS / f"{name}.json")
     assert main([command, config, "--quiet", "--out", str(tmp_path)]) == 0
-    (csv,) = tmp_path.glob("*.csv")
-    assert hashlib.sha256(csv.read_bytes()).hexdigest() == COMMITTED_CSV_SHA256[name]
+    csvs = list(tmp_path.glob("*.csv"))
+    assert [hashlib.sha256(c.read_bytes()).hexdigest() for c in csvs] == (
+        [COMMITTED_CSV_SHA256[name]] if name in COMMITTED_CSV_SHA256 else []
+    )
+    summary = json.loads((tmp_path / f"{name}_summary.json").read_text())
+    del summary["duration_seconds"], summary["files"]
+    digest = hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
+    assert digest == COMMITTED_SUMMARY_SHA256[name]

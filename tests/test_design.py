@@ -194,6 +194,16 @@ class TestParallelTransport:
         traj = zd.continuous_dark_run(tl.psi_equal, tl.path, tl.H0, T=2.0, dt=dt)
         assert zd.parallel_transport_residual(traj) <= 10.0 * dt
 
+    def test_residual_falls_faster_than_dt(self, three_level):
+        tl = three_level
+        residual = {
+            dt: zd.parallel_transport_residual(
+                zd.continuous_dark_run(tl.psi_equal, tl.path, tl.H0, T=2.0, dt=dt)
+            )
+            for dt in (2e-3, 1e-3)
+        }
+        assert residual[2e-3] / residual[1e-3] >= 3.0
+
     def test_free_evolution_reports_energy_expectation(self, rng):
         H = random_hermitian(rng, 3)
         psi0 = random_unit(rng, 3)

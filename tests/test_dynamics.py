@@ -440,10 +440,8 @@ class TestCyclicReturn:
             zd.cyclic_return_fidelity(three_level.spectrum, None)
 
 
-@settings(max_examples=25, deadline=None)
-@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
-def test_continuous_run_preserves_norm_and_matches_closed_form(n, seed):
-    # H and K share eigenvectors, so [K, H] = 0 and the closed form applies
+def commuting_problem(n, seed):
+    """Random H, a generator path whose K commutes with it, and psi0 orthogonal to f(0)."""
     rng = np.random.default_rng(seed)
     V = np.linalg.qr(random_hermitian(rng, n))[0]
     H = (V * rng.uniform(-1.0, 1.0, n)) @ V.conj().T
@@ -452,8 +450,26 @@ def test_continuous_run_preserves_norm_and_matches_closed_form(n, seed):
     psi0 = random_unit(rng, n)
     psi0 = psi0 - np.vdot(f0, psi0) * f0
     psi0 /= np.linalg.norm(psi0)
-    path = zd.GeneratorPath(K, f0)
+    return psi0, zd.GeneratorPath(K, f0), H
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_continuous_run_preserves_norm_and_matches_closed_form(n, seed):
+    # H and K share eigenvectors, so [K, H] = 0 and the closed form applies
+    psi0, path, H = commuting_problem(n, seed)
     traj = zd.continuous_dark_run(psi0, path, H, T=1.0, dt=1e-3)
     exact = zd.closed_form_run(psi0, path, H, T=1.0, dt=1e-3)
     assert np.abs(traj.norms - 1.0).max() <= 1e-12
     np.testing.assert_allclose(traj.states[-1], exact.states[-1], atol=1e-6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_orthogonality_residual_is_second_order(n, seed):
+    psi0, path, H = commuting_problem(n, seed)
+    worst = {
+        dt: zd.continuous_dark_run(psi0, path, H, T=1.0, dt=dt).orthogonality_residual.max()
+        for dt in (1e-2, 5e-3)
+    }
+    assert 3.5 <= worst[1e-2] / worst[5e-3] <= 4.5

@@ -1,10 +1,44 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import zenodark as zd
 from zenodark.errors import DomainError, InputError, UnsupportedVariantError
 
 from conftest import random_hermitian, random_unit
+
+
+def sampled_reference(path, t):
+    """Oracle: per-point great-circle interpolation of a ``SampledPath``."""
+    times, samples, derivatives = path.times, path.samples, path._derivatives
+    t0, t1 = times[0], times[-1]
+    slack = 1e-12 * max(1.0, abs(t0), abs(t1))
+    if t < t0 - slack or t > t1 + slack:
+        raise DomainError(f"t = {t:.12g} outside sampled range")
+    t = min(max(t, t0), t1)
+    i = int(np.searchsorted(times, t, side="right")) - 1
+    i = min(max(i, 0), times.size - 2)
+    ta, tb = times[i], times[i + 1]
+    u = (t - ta) / (tb - ta)
+    a, b = samples[i], samples[i + 1]
+    overlap = np.vdot(a, b)
+    theta = float(np.angle(overlap))
+    b_aligned = b * np.exp(-1j * theta)
+    cosw = min(max(float(np.abs(overlap)), -1.0), 1.0)
+    omega = math.acos(cosw)
+    if omega < 1e-9:
+        geo = (1.0 - u) * a + u * b_aligned
+        geo /= np.linalg.norm(geo)
+    else:
+        geo = (
+            math.sin((1.0 - u) * omega) * a + math.sin(u * omega) * b_aligned
+        ) / math.sin(omega)
+    f = geo * np.exp(1j * theta * u)
+    fdot = (1.0 - u) * derivatives[i] + u * derivatives[i + 1]
+    fdot = fdot - np.real(np.vdot(f, fdot)) * f
+    return f / np.linalg.norm(f), fdot
 
 
 def brute_force_period(frequencies, amplitudes, max_multiples=2000):
@@ -37,14 +71,19 @@ class TestGeneratorPath:
         f, _ = path.evaluate(np.pi)
         np.testing.assert_allclose(f, np.array([1.0, -1.0, 1.0]) / np.sqrt(3), atol=1e-13)
 
-    def test_evaluate_many_matches_scalar(self, rng):
-        path = zd.GeneratorPath(random_hermitian(rng, 4), random_unit(rng, 4))
+    def test_matches_matrix_exponential(self, rng):
+        K = random_hermitian(rng, 4)
+        f0 = random_unit(rng, 4)
+        path = zd.GeneratorPath(K, f0)
         ts = rng.uniform(-5.0, 5.0, 37)
         F, Fd = path.evaluate_many(ts)
         for i, t in enumerate(ts):
+            exact = expm(-1j * K * t) @ f0
+            np.testing.assert_allclose(F[i], exact, atol=1e-12)
+            np.testing.assert_allclose(Fd[i], -1j * K @ exact, atol=1e-12)
             f, fd = path.evaluate(float(t))
-            np.testing.assert_allclose(F[i], f, atol=1e-13)
-            np.testing.assert_allclose(Fd[i], fd, atol=1e-13)
+            np.testing.assert_allclose(f, exact, atol=1e-12)
+            np.testing.assert_allclose(fd, -1j * K @ exact, atol=1e-12)
 
     def test_rejects_non_hermitian_generator(self):
         with pytest.raises(InputError):
@@ -135,6 +174,24 @@ class TestSampledPath:
             f, _ = sampled.evaluate(float(grid[i]))
             np.testing.assert_allclose(f, F[i], atol=1e-12)
 
+    def test_grid_matches_per_point_reference(self, rng):
+        gen = zd.GeneratorPath(random_hermitian(rng, 4), random_unit(rng, 4))
+        grid = np.sort(rng.uniform(0.0, 2.0, 60))
+        grid[0], grid[-1] = 0.0, 2.0
+        F, _ = gen.evaluate_many(grid)
+        # a parallel sample pair (angle below 1e-9) takes the chord branch
+        F[31] = F[30] * np.exp(0.3j)
+        sampled = zd.SampledPath(grid, F)
+        ts = np.concatenate([
+            rng.uniform(0.0, 2.0, 200), grid, [2.0 + 1e-13],
+            grid[30] + np.array([0.25, 0.5, 0.75]) * (grid[31] - grid[30]),
+        ])
+        G, Gd = sampled.evaluate_many(ts)
+        for i, t in enumerate(ts):
+            f, fd = sampled_reference(sampled, float(t))
+            assert np.abs(G[i] - f).max() <= 1e-14
+            assert np.abs(Gd[i] - fd).max() <= 1e-14 * max(1.0, np.abs(fd).max())
+
     def test_domain_error(self):
         grid = np.linspace(0.0, 1.0, 11)
         F = np.tile([1.0, 0.0], (11, 1)).astype(complex)
@@ -143,6 +200,8 @@ class TestSampledPath:
             sampled.evaluate(1.5)
         with pytest.raises(DomainError):
             sampled.evaluate(-0.2)
+        with pytest.raises(DomainError):
+            sampled.evaluate_many([0.0, 0.5, 1.0 + 1e-6, 0.7])
 
     def test_validation(self):
         with pytest.raises(InputError):
