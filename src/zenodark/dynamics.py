@@ -11,9 +11,11 @@ the Hermitian effective Hamiltonian
 which preserves both the norm and the orthogonality ``<f(t)|psi(t)> = 0``.
 Continuous runs integrate it with the exponential-midpoint scheme
 ``psi(t+dt) = exp(-i H_D(t+dt/2) dt) psi(t)``: exactly unitary per step,
-second order in ``dt``.  When the monitored state is rotated by a generator
-K that commutes with H, the co-moving effective Hamiltonian is time
-independent and the run has a closed-form spectral solution.
+second order in ``dt``.  With ``H = 0`` each step is an exact rotation on
+span{f, fdot}, computed in closed form without an eigendecomposition.
+When the monitored state is rotated by a generator K that commutes with H,
+the co-moving effective Hamiltonian is time independent and the run has a
+closed-form spectral solution.
 """
 
 from __future__ import annotations
@@ -164,7 +166,8 @@ def effective_hamiltonian(H, f, fdot, tol: ToleranceProfile = DEFAULT) -> np.nda
 
     ``H_D = P H P + i(|fdot><f| - |f><fdot|)`` with ``P = 1 - |f><f|``.
     The derivative must not drift the norm: ``Re <f|fdot>`` has to vanish
-    within ``tol.path_norm_rate``.
+    within ``tol.path_norm_rate``.  The matrix is built by
+    ``kernels.effective_hamiltonians``, the stack the continuous kernel uses.
     """
     H = require_hermitian(H, tol, name="hamiltonian")
     f = require_unit(f, tol, name="monitored state")
@@ -174,8 +177,7 @@ def effective_hamiltonian(H, f, fdot, tol: ToleranceProfile = DEFAULT) -> np.nda
         raise InputError(
             f"monitored-state derivative drifts the norm: Re<f|fdot> = {rate:.3e}"
         )
-    P = np.eye(f.shape[0], dtype=np.complex128) - np.outer(f, f.conj())
-    return P @ H @ P + 1j * (np.outer(fdot, f.conj()) - np.outer(f, fdot.conj()))
+    return kernels.effective_hamiltonians(H, f[None], fdot[None])[0]
 
 
 def continuous_dark_run(

@@ -336,19 +336,19 @@ class TestSpectrumFromModePath:
 # sha256 of the committed scenarios' CSV output: any change to the
 # propagation, sampling or CSV formatting arithmetic shows here
 COMMITTED_CSV_SHA256 = {
-    "continuous_three_level": "8ab52403d144bd6fa92d69215ecc37ad4fb347efeb887ac2db5a391d36f2559d",
-    "inverse_design": "d6579daf9b739860faae3f07952db5518066fef8f951a708d3ccecb3bf33db56",
-    "embedding_energy_sweep": "a7fd7d1934b45db711d7474b3626c88878d33a53095737262e0c5560f93ca615",
-    "discrete_tau_sweep": "0ff9f2103c4dc5e95354b756ee69176940e381474bd7bc99089c0e1894f16c7d",
+    "continuous_three_level": "49ffdb6c33e43a3989889d8853358d4c2ba49d1a2b9f0e91b32fbfcacea857dc",
+    "inverse_design": "654f4011e438c20d7f6f37ef1c4cd06902b0871d135e8c6d088973db077f0508",
+    "embedding_energy_sweep": "fcfe4469cdff1e3a22baa949b70811f386a6313f611c564bb7f02000e313b400",
+    "discrete_tau_sweep": "e4d87203a9ec180517079e22687d7f73719865ca1d01e30085c6a55f73d71118",
 }
 
 # sha256 of each committed scenario's summary, without the run-dependent
 # "duration_seconds" and "files", re-dumped with sorted keys
 COMMITTED_SUMMARY_SHA256 = {
-    "continuous_three_level": "dbc52c98f0ee29668c76d5932fbae50dcb7e2dcd04d9ace57c9bd8284f3496ed",
-    "inverse_design": "966bb66cd1ed3fc20b9de3dbcfdeae18e9af07a190b48ef806cbfb656a245af0",
-    "embedding_energy_sweep": "fdc3c16b5c2e2dd61e002726cab3ba9b2623cea242d37578410a0bc816bd3428",
-    "discrete_tau_sweep": "01d54c6e9ed03f573b8fbdda8e9f930c2ad0378762ce02cc615e65dc5de97de7",
+    "continuous_three_level": "aac5176f7619b8ba2ded365727b4602e779c8c52dc51ba236feec9140edff2bb",
+    "inverse_design": "4e60a3b3d55e5ff02202a1c42c11d68025ca281ccfbf21d62a6ba97453c635b9",
+    "embedding_energy_sweep": "a1518d1036eff09c79e130b3f2b7efe9620c0d804e012b977b2b09e73cc1ab7e",
+    "discrete_tau_sweep": "21bc51b7cf0f5062ecd01e3671e4919d9189e151999ef791323c0288f4334855",
     "spectrum_three_level": "9a5f4c34e5dc35b8112d8f7f8c3be8425e32704a587e2e57444e82e7cf1decb8",
 }
 

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from zenodark import kernels
 from zenodark.linalg import unitary_exp
@@ -74,23 +77,94 @@ _CASES = [
 ]
 
 
+def _assert_close(expected, got):
+    for name, a, b in zip(("states", "norms", "orth"), expected, got):
+        np.testing.assert_allclose(b, a, rtol=0.0, atol=1e-13, err_msg=name)
+
+
+def _assert_diagnostics_of_states(f_after, got):
+    # norms and overlaps are the per-row np.linalg.norm and np.vdot of the
+    # returned states, bit for bit
+    states, norms, orth = got
+    assert np.array_equal(norms, [np.linalg.norm(psi) for psi in states])
+    overlaps = [np.abs(np.vdot(f, psi)) for f, psi in zip(f_after, states[1:])]
+    assert np.array_equal(orth[1:], overlaps)
+
+
+@pytest.mark.parametrize("n, steps, zero_h", _CASES)
+def test_continuous_loop_matches_reference(rng, n, steps, zero_h):
+    H, psi0, f_grid, f_mid, fdot_mid = _problem(rng, n, steps, zero_h)
+    expected = _reference_continuous(H, f_grid, f_mid, fdot_mid, psi0, 1e-3)
+    _assert_close(expected, kernels.continuous_loop(H, f_grid, f_mid, fdot_mid, psi0, 1e-3))
+
+
+@pytest.mark.parametrize("n, steps, zero_h", _CASES)
+def test_discrete_loop_matches_reference(rng, n, steps, zero_h):
+    H, psi0, f_grid, _, _ = _problem(rng, n, steps, zero_h)
+    U = unitary_exp(H + np.eye(n), 0.1)
+    expected = _reference_discrete(U, f_grid[1:], psi0)
+    _assert_close(expected, kernels.discrete_loop(U, f_grid[1:], psi0))
+
+
+# The states agree with the per-step loops to rounding only; the diagnostics
+# the kernels report for them are still bitwise the per-row reference.
 @pytest.mark.parametrize("n, steps, zero_h", _CASES)
 def test_continuous_loop_matches_reference_bitwise(rng, n, steps, zero_h):
     H, psi0, f_grid, f_mid, fdot_mid = _problem(rng, n, steps, zero_h)
-    expected = _reference_continuous(H, f_grid, f_mid, fdot_mid, psi0, 1e-3)
     got = kernels.continuous_loop(H, f_grid, f_mid, fdot_mid, psi0, 1e-3)
-    for name, a, b in zip(("states", "norms", "orth"), expected, got):
-        assert np.array_equal(a, b), name
+    _assert_diagnostics_of_states(f_grid[1:], got)
+    assert got[2][0] == np.abs(np.vdot(f_grid[0], psi0))
 
 
 @pytest.mark.parametrize("n, steps, zero_h", _CASES)
 def test_discrete_loop_matches_reference_bitwise(rng, n, steps, zero_h):
     H, psi0, f_grid, _, _ = _problem(rng, n, steps, zero_h)
-    U = unitary_exp(H + np.eye(n), 0.1)
-    expected = _reference_discrete(U, f_grid[1:], psi0)
-    got = kernels.discrete_loop(U, f_grid[1:], psi0)
-    for name, a, b in zip(("states", "norms", "orth"), expected, got):
-        assert np.array_equal(a, b), name
+    got = kernels.discrete_loop(unitary_exp(H + np.eye(n), 0.1), f_grid[1:], psi0)
+    _assert_diagnostics_of_states(f_grid[1:], got)
+    assert got[2][0] == 0.0
+
+
+def _transport_cases(rng, n):
+    # (f, fdot): generic, fdot parallel to f (beta = 0, exactly and up to
+    # rounding), fdot = 0 (Omega = 0), a norm-drifting derivative and a
+    # monitored state of norm 1 + 1e-9
+    f = random_unit(rng, n)
+    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    e0 = np.eye(n, dtype=np.complex128)[0]
+    yield f, g - np.real(np.vdot(f, g)) * f
+    yield e0, (0.3 - 0.8j) * e0
+    yield f, (0.3 - 0.8j) * f
+    yield f, np.zeros(n, dtype=np.complex128)
+    yield f, g
+    yield (1.0 + 1e-9) * f, g - 1j * f
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_zero_hamiltonian_step_matches_expm(rng, n):
+    zero = np.zeros((n, n), dtype=np.complex128)
+    for f, fdot in _transport_cases(rng, n):
+        hd = 1j * (np.outer(fdot, f.conj()) - np.outer(f, fdot.conj()))
+        # Omega <= ||H_D||, so these steps keep Omega dt <= 1
+        scale = 1.0 / max(np.linalg.norm(hd, 2), 1.0)
+        for dt in (1e-3, 0.5 * scale, scale):
+            psi0 = random_unit(rng, n)
+            got = kernels.continuous_loop(zero, np.stack([f, f]), f[None], fdot[None], psi0, dt)
+            expected = scipy.linalg.expm(-1j * hd * dt) @ psi0
+            assert np.abs(got[0][1] - expected).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", (2, 3, 6))
+@pytest.mark.parametrize("zero_h", (True, False))
+def test_continuous_loop_prefix_is_bitwise(rng, n, zero_h):
+    chunk = kernels._chunk_steps(n)
+    block = math.isqrt(chunk)
+    steps = 2 * chunk + block + 3
+    H, psi0, f_grid, f_mid, fdot_mid = _problem(rng, n, steps, zero_h)
+    full = kernels.continuous_loop(H, f_grid, f_mid, fdot_mid, psi0, 1e-3)
+    for k in (1, block - 1, block, block + 1, chunk - 1, chunk, chunk + 1, chunk + block + 2):
+        part = kernels.continuous_loop(H, f_grid[: k + 1], f_mid[:k], fdot_mid[:k], psi0, 1e-3)
+        for name, a, b in zip(("states", "norms", "orth"), full, part):
+            assert np.array_equal(a[: k + 1], b), (name, k)
 
 
 def test_embedded_loop_matches_spectral_exponential(rng):
