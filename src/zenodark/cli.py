@@ -24,7 +24,6 @@ import numpy as np
 
 from .design import (
     design_monitored_state,
-    mode_design,
     pancharatnam_phase,
     parallel_transport_residual,
 )
@@ -46,7 +45,7 @@ from .errors import (
     UnsupportedVariantError,
 )
 from .paths import generator_path_of, period_of
-from .scenario import DesignedParams, Scenario, load_scenario
+from .scenario import Scenario, load_scenario
 from .tolerances import PROFILES, ToleranceProfile
 from .trajectory import format_float
 
@@ -79,16 +78,6 @@ def _jsonable(value):
     return value
 
 
-def _instantiated_path(scenario: Scenario, tol: ToleranceProfile):
-    """Return (path, target_trajectory_or_None), building designed paths."""
-    if isinstance(scenario.path, DesignedParams):
-        target, designed = mode_design(
-            scenario.path.probabilities, scenario.path.frequencies, tol=tol
-        )
-        return designed, target
-    return scenario.path, None
-
-
 def _require_zero_hamiltonian(scenario: Scenario) -> None:
     if np.any(scenario.hamiltonian):
         raise ConfigError(
@@ -115,7 +104,7 @@ def _execute_run(scenario: Scenario, tol: ToleranceProfile):
         raise ConfigError("scenario has no 'run' block")
     H = scenario.hamiltonian
     psi0 = scenario.initial_state
-    path, target = _instantiated_path(scenario, tol)
+    path, target = scenario.path, scenario.target
     extra: dict = {}
 
     if run.mode == "discrete":
@@ -223,7 +212,7 @@ def _sweep_metric(scenario: Scenario, tol: ToleranceProfile, parameter: str, val
     run = scenario.run
     H = scenario.hamiltonian
     psi0 = scenario.initial_state
-    path, _ = _instantiated_path(scenario, tol)
+    path = scenario.path
 
     if parameter == "tau":
         M = step_count(run.T, value)

@@ -1,15 +1,24 @@
 """Inverse design: construct the monitored state that steers a target.
 
 Given a prescribed unit trajectory ``psi(t)``, the monitored state that
-produces it under dark evolution is parallel to ``H psi - i psidot``; it
+produces it under dark evolution is parallel to ``g = H psi - i psidot``; it
 exists only when the trajectory obeys the dark-compatibility constraint
 
     i <psi|psidot> = <psi|H|psi>,
 
 which for ``H = 0`` is the parallel-transport condition ``<psi|psidot> = 0``.
-The designed state is normalized exactly (``<f|f> = 1``, real positive
-prefactor).  For mode targets ``psi(t) = sum_j sqrt(p_j) exp(-i nu_j t) |j>``
-everything is closed form.
+The designed state ``f = g/||g||`` is normalized exactly (``<f|f> = 1``, real
+positive prefactor), and its derivative is closed form,
+
+    fdot = (gdot - f Re<f|gdot>)/||g||,    gdot = H psidot - i psiddot.
+
+Targets are grid callables: ``states_on`` (and optionally
+``derivatives_on``) map a ``(k,)`` time grid to ``(k, N)`` rows.  One
+centered 5-point window of target states at the design spacing gives
+``psiddot``, and ``psidot`` when no analytic derivative is given (Fornberg
+weights, fourth order), so a designed path makes five ``states_on`` calls
+per evaluated grid, whatever its length.  For mode targets
+``psi(t) = sum_j sqrt(p_j) exp(-i nu_j t) |j>`` everything is closed form.
 
 Phase diagnostics use the discrete geometric-phase sum over consecutive
 state overlaps, closing the loop when the endpoints match up to a global
@@ -30,9 +39,9 @@ from .errors import (
     ParallelTransportError,
     UndefinedPhaseError,
 )
-from .linalg import as_state, require_hermitian, row_norms_and_overlaps
+from .linalg import require_hermitian, row_norms_and_overlaps
 from .paths import DesignedPath
-from .stencil import differentiate_series, fd_weights
+from .stencil import fd_weights
 from .tolerances import DEFAULT, ToleranceProfile
 
 __all__ = [
@@ -48,44 +57,45 @@ __all__ = [
 
 
 class PrescribedTrajectory:
-    """Target trajectory given as callables of time.
+    """Target trajectory given as grid callables.
 
-    ``derivative_fn`` may be omitted; operations then differentiate the
-    sampled states with fourth-order stencils on their evaluation grid.
+    ``states_on`` maps a ``(k,)`` float grid to the ``(k, dim)`` rows of
+    ``psi``; the optional ``derivatives_on`` does the same for ``psidot``.
+    Without it, design operations differentiate ``states_on`` with
+    fourth-order stencils.
     """
 
-    def __init__(self, dim: int, state_fn, derivative_fn=None):
+    def __init__(self, dim: int, states_on, derivatives_on=None):
         self.dim = int(dim)
-        self._state_fn = state_fn
-        self._derivative_fn = derivative_fn
+        self._states_on = states_on
+        self._derivatives_on = derivatives_on
 
     @property
     def has_derivative(self) -> bool:
-        return self._derivative_fn is not None
+        return self._derivatives_on is not None
 
     def state_at(self, t: float) -> np.ndarray:
-        return as_state(self._state_fn(t), self.dim)
+        return self.states_on([t])[0]
 
-    def derivative_at(self, t: float) -> np.ndarray:
-        if self._derivative_fn is None:
+    def states_on(self, grid) -> np.ndarray:
+        return self._rows(self._states_on, grid)
+
+    def derivatives_on(self, grid) -> np.ndarray:
+        if self._derivatives_on is None:
             raise InputError("trajectory has no analytic derivative")
-        return as_state(self._derivative_fn(t), self.dim)
+        return self._rows(self._derivatives_on, grid)
 
-    def states_on(self, grid: np.ndarray) -> np.ndarray:
+    def _rows(self, fn, grid) -> np.ndarray:
         grid = np.atleast_1d(np.asarray(grid, dtype=float))
-        out = np.empty((grid.size, self.dim), dtype=np.complex128)
-        for i, t in enumerate(grid):
-            out[i] = self.state_at(float(t))
-        return out
-
-    def derivatives_on(self, grid: np.ndarray) -> np.ndarray:
-        grid = np.atleast_1d(np.asarray(grid, dtype=float))
-        if self.has_derivative:
-            out = np.empty((grid.size, self.dim), dtype=np.complex128)
-            for i, t in enumerate(grid):
-                out[i] = self.derivative_at(float(t))
-            return out
-        return differentiate_series(self.states_on(grid), grid)
+        rows = np.asarray(fn(grid), dtype=np.complex128)
+        if rows.shape != (grid.size, self.dim):
+            raise InputError(
+                f"target grid callable returned shape {rows.shape}, "
+                f"expected {(grid.size, self.dim)}"
+            )
+        if not np.isfinite(rows).all():
+            raise InputError("target grid callable returned non-finite entries")
+        return rows
 
 
 class ModeTrajectory(PrescribedTrajectory):
@@ -110,25 +120,17 @@ class ModeTrajectory(PrescribedTrajectory):
         self.probabilities = p
         self.frequencies = nu
         self._roots = np.sqrt(p)
-        super().__init__(p.size, self._state, self._derivative)
+        super().__init__(p.size, self._mode_states, self._mode_derivatives)
 
     @property
     def phase_rate(self) -> float:
         """The constant ``i <psi|psidot> = sum_j p_j nu_j``."""
         return float(self.probabilities @ self.frequencies)
 
-    def _state(self, t: float) -> np.ndarray:
-        return self._roots * np.exp(-1j * self.frequencies * t)
-
-    def _derivative(self, t: float) -> np.ndarray:
-        return -1j * self.frequencies * self._roots * np.exp(-1j * self.frequencies * t)
-
-    def states_on(self, grid: np.ndarray) -> np.ndarray:
-        grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    def _mode_states(self, grid: np.ndarray) -> np.ndarray:
         return np.exp(-1j * np.outer(grid, self.frequencies)) * self._roots
 
-    def derivatives_on(self, grid: np.ndarray) -> np.ndarray:
-        grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    def _mode_derivatives(self, grid: np.ndarray) -> np.ndarray:
         phases = np.exp(-1j * np.outer(grid, self.frequencies))
         return -1j * self.frequencies * self._roots * phases
 
@@ -150,33 +152,40 @@ class DesignResult:
     normalization_samples: np.ndarray
 
 
+def _spacing(grid: np.ndarray) -> float:
+    # the design spacing: the grid's median step.  A one-point grid has none;
+    # 2e-3 ~ eps**(1/6) balances the h**4 truncation and eps/h**2 rounding
+    # of the fourth-order psiddot stencil for frequencies of order one
+    return float(np.median(np.diff(grid))) if grid.size > 1 else 2e-3
+
+
+def _jet(traj: PrescribedTrajectory, ts: np.ndarray, spacing: float):
+    # (psi, psidot, psiddot) on ts from one centered 5-point window of target
+    # states; psidot is the analytic derivative when the target has one
+    offsets = spacing * np.arange(-2.0, 3.0)
+    window = np.stack([traj.states_on(ts + o) for o in offsets])
+    if traj.has_derivative:
+        velocity = traj.derivatives_on(ts)
+    else:
+        velocity = np.tensordot(fd_weights(offsets, 0.0, 1), window, axes=(0, 0))
+    acceleration = np.tensordot(fd_weights(offsets, 0.0, 2), window, axes=(0, 0))
+    return window[2], velocity, acceleration
+
+
 def validate_dark_compatibility(
     traj: PrescribedTrajectory, H, grid, tol: ToleranceProfile = DEFAULT
 ) -> float:
     """Worst violation of ``i <psi|psidot> = <psi|H|psi>`` on the grid."""
     H = require_hermitian(H, tol, name="hamiltonian")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    states = traj.states_on(grid)
+    states, derivs, _ = _jet(traj, grid, _spacing(grid))
     norms = np.linalg.norm(states, axis=1)
     worst = float(np.abs(norms - 1.0).max())
     if worst > tol.unit_state:
         raise InputError(f"prescribed states must be unit-norm, worst {worst:.3e}")
-    derivs = traj.derivatives_on(grid)
     phase_rate = 1j * np.einsum("ij,ij->i", states.conj(), derivs)
     energy = np.einsum("ij,ij->i", states.conj(), states @ H.T)
     return float(np.abs(phase_rate - energy).max())
-
-
-def _stencil_derivative(states_on, spacing: float):
-    # centered 5-point first derivative of a vector-valued function on a grid
-    offsets = spacing * np.arange(-2.0, 3.0)
-    weights = fd_weights(offsets, 0.0, 1)
-
-    def derivatives_on(ts: np.ndarray) -> np.ndarray:
-        window = np.stack([states_on(ts + o) for o in offsets])
-        return np.tensordot(weights, window, axes=(0, 0))
-
-    return derivatives_on
 
 
 def design_monitored_state(
@@ -203,38 +212,34 @@ def design_monitored_state(
             f"trajectory violates dark compatibility: residual {residual:.3e} "
             f"exceeds {tol.compatibility:.3e}"
         )
-
-    spacing = float(np.median(np.diff(grid))) if grid.size > 1 else 1e-5
-    if traj.has_derivative:
-        target_derivatives = traj.derivatives_on
-    else:
-        target_derivatives = _stencil_derivative(traj.states_on, spacing)
+    spacing = _spacing(grid)
 
     def designed(ts: np.ndarray):
-        # unit designed states, their prefactors and |<psi|f>| on a grid
-        states = traj.states_on(ts)
-        g = states @ H.T - 1j * target_derivatives(ts)
-        norms, overlaps = row_norms_and_overlaps(states, g)
+        # f = g/||g|| and fdot = (gdot - f Re<f|gdot>)/||g|| with
+        # g = H psi - i psidot, plus the prefactors 1/||g|| and |<psi|f>|
+        psi, velocity, acceleration = _jet(traj, ts, spacing)
+        g = psi @ H.T - 1j * velocity
+        norms, overlaps = row_norms_and_overlaps(psi, g)
         nsq = norms**2
         if np.any(nsq < tol.degenerate_norm_sq):
             raise DegenerateTargetError(
                 "target is stationary: nothing to monitor, designed state undefined"
             )
         prefactors = nsq**-0.5
-        return g * prefactors[:, None], prefactors, overlaps * prefactors
+        f = g * prefactors[:, None]
+        gdot = velocity @ H.T - 1j * acceleration
+        radial = np.real(np.sum(f.conj() * gdot, axis=1))
+        fdot = (gdot - f * radial[:, None]) * prefactors[:, None]
+        return f, fdot, prefactors, overlaps * prefactors
 
-    _, samples, overlaps = designed(grid)
+    _, _, samples, overlaps = designed(grid)
     orth = float(overlaps.max())
     if orth > 10.0 * tol.compatibility:
         raise CompatibilityError(
             f"designed state fails orthogonality to the target: {orth:.3e}"
         )
 
-    def states_on(ts: np.ndarray) -> np.ndarray:
-        return designed(ts)[0]
-
-    derivatives_on = _stencil_derivative(states_on, spacing)
-    path = DesignedPath(traj.dim, lambda ts: (states_on(ts), derivatives_on(ts)), tol=tol)
+    path = DesignedPath(traj.dim, lambda ts: designed(ts)[:2], tol=tol)
     return DesignResult(
         path=path,
         compatibility_residual=residual,

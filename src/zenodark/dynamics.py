@@ -109,8 +109,7 @@ def discrete_dark_step(psi, f_next, H, tau: float, tol: ToleranceProfile = DEFAU
     H = require_hermitian(H, tol, name="hamiltonian")
     if not 0.0 < tau < np.inf:
         raise InputError("measurement interval must be finite and positive")
-    evolved = unitary_exp(H, tau, tol) @ psi
-    return evolved - np.vdot(f, evolved) * f
+    return kernels.discrete_loop(unitary_exp(H, tau, tol), f[None], psi)[0][1]
 
 
 def discrete_dark_run(
@@ -240,8 +239,13 @@ def comoving_hamiltonian(H, K, f0, t: float, tol: ToleranceProfile = DEFAULT) ->
     K = require_hermitian(K, tol, name="path generator")
     f0 = require_unit(f0, tol, name="monitored state")
     rot = unitary_exp(K, -t, tol)
+    return _comoving(rot @ H @ rot.conj().T - K, f0)
+
+
+def _comoving(A, f0: np.ndarray) -> np.ndarray:
+    # P0 A P0 with P0 = 1 - |f0><f0|
     P0 = np.eye(f0.shape[0], dtype=np.complex128) - np.outer(f0, f0.conj())
-    return P0 @ (rot @ H @ rot.conj().T - K) @ P0
+    return P0 @ A @ P0
 
 
 def _commuting_setup(psi0, H, K, f0, tol: ToleranceProfile):
@@ -364,8 +368,7 @@ def three_level_frequencies(a, Omega, tol: ToleranceProfile = DEFAULT) -> ThreeL
 def _closed_form_states(psi0, H, K, f0, times: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
     # rows: exp(-i K t) exp(-i Htilde t) psi0 at each t, Htilde = P(0)(H - K)P(0)
     psi0, H, K, f0 = _commuting_setup(psi0, H, K, f0, tol)
-    P0 = np.eye(f0.shape[0], dtype=np.complex128) - np.outer(f0, f0.conj())
-    Ht = P0 @ (H - K) @ P0
+    Ht = _comoving(H - K, f0)
     Ht = 0.5 * (Ht + Ht.conj().T)
     decH = hermitian_eigendecomposition(Ht, tol)
     decK = hermitian_eigendecomposition(K, tol)

@@ -113,11 +113,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        """Return ``sum_k lambda_k v_k v_k^dag``."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 def hermitian_eigendecomposition(
     A, tol: ToleranceProfile = DEFAULT

@@ -139,10 +139,6 @@ class GeneratorPath(ModePath):
         modes = dec.eigenvectors
         super().__init__(modes.conj().T @ self.initial_state, dec.eigenvalues, modes, tol=tol)
 
-    def to_mode_path(self) -> ModePath:
-        """Equivalent mode representation over the generator's eigenbasis."""
-        return ModePath(self.amplitudes, self.frequencies, self.modes, tol=self._tol)
-
 
 class SampledPath(MonitoredPath):
     """Monitored state known only at discrete sample times.

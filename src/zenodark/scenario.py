@@ -30,10 +30,14 @@ Path blocks:
   vectors; defaults to the standard basis).
 * ``samples``: ``"times"`` (ascending), ``"samples"`` (unit vectors).
 * ``designed``: ``"probabilities"`` and ``"frequencies"`` of a mode target;
-  the monitored state is constructed by inverse design.
+  the monitored state is constructed by inverse design (``mode_design``)
+  once, at load, and the scenario keeps the target as ``Scenario.target``.
 
-Schema violations raise :class:`ConfigError` (exit code 2 in the CLI);
-physics violations surface later from the run itself (exit code 3).
+Schema violations raise :class:`ConfigError` (exit code 2 in the CLI).
+Physics violations (exit code 3) surface from the run itself, except those
+of a ``designed`` block: its path is built at load, so a target that
+violates parallel transport or is degenerate fails in ``load_scenario``,
+after every schema check.
 """
 
 from __future__ import annotations
@@ -45,12 +49,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .design import ModeTrajectory, mode_design
 from .errors import ConfigError
 from .paths import GeneratorPath, ModePath, MonitoredPath, SampledPath
 from .tolerances import DEFAULT, ToleranceProfile
 
 __all__ = [
-    "RunSettings", "SweepSettings", "OutputSettings", "Scenario", "DesignedParams", "load_scenario"
+    "RunSettings", "SweepSettings", "OutputSettings", "Scenario", "load_scenario"
 ]
 
 _TOP_KEYS = {
@@ -151,9 +156,13 @@ class Scenario:
     run: RunSettings | None
     sweep: SweepSettings | None
     output: OutputSettings
+    target: ModeTrajectory | None
 
 
-def _parse_path(block, dim: int, tol: ToleranceProfile) -> MonitoredPath:
+def _parse_path(
+    block, dim: int, tol: ToleranceProfile
+) -> tuple[MonitoredPath, ModeTrajectory | None]:
+    # the monitored path and, for a designed path, its target
     if not isinstance(block, dict) or "type" not in block:
         raise ConfigError("path: expected an object with a 'type' key")
     kind = block["type"]
@@ -161,7 +170,7 @@ def _parse_path(block, dim: int, tol: ToleranceProfile) -> MonitoredPath:
         if kind == "generator":
             K = _complex_matrix(block["generator"], "path.generator", dim)
             f0 = _complex_vector(block["initial_state"], "path.initial_state", dim)
-            return GeneratorPath(K, f0, tol=tol)
+            return GeneratorPath(K, f0, tol=tol), None
         if kind == "modes":
             amps = _complex_vector(block["amplitudes"], "path.amplitudes")
             freqs = _real_vector(block["frequencies"], "path.frequencies")
@@ -182,7 +191,7 @@ def _parse_path(block, dim: int, tol: ToleranceProfile) -> MonitoredPath:
                     "path: without explicit modes the number of amplitudes must "
                     "equal the dimension"
                 )
-            return ModePath(amps, freqs, modes, tol=tol)
+            return ModePath(amps, freqs, modes, tol=tol), None
         if kind == "samples":
             times = _real_vector(block["times"], "path.times")
             samples = block["samples"]
@@ -192,9 +201,8 @@ def _parse_path(block, dim: int, tol: ToleranceProfile) -> MonitoredPath:
                 _complex_vector(s, f"path.samples[{i}]", dim)
                 for i, s in enumerate(samples)
             ]
-            return SampledPath(times, np.vstack(rows), tol=tol)
+            return SampledPath(times, np.vstack(rows), tol=tol), None
         if kind == "designed":
-            # built lazily by the runner so design errors map to exit code 3
             probabilities = _real_vector(block["probabilities"], "path.probabilities")
             frequencies = _real_vector(block["frequencies"], "path.frequencies")
             if probabilities.size != dim or frequencies.size != dim:
@@ -202,24 +210,11 @@ def _parse_path(block, dim: int, tol: ToleranceProfile) -> MonitoredPath:
                     "path: probabilities and frequencies must have one entry per "
                     "dimension"
                 )
-            return DesignedParams(dim, probabilities, frequencies)
+            target, designed = mode_design(probabilities, frequencies, tol=tol)
+            return designed, target
     except KeyError as exc:
         raise ConfigError(f"path: missing key {exc.args[0]!r} for type {kind!r}") from exc
     raise ConfigError(f"path: unknown type {kind!r}")
-
-
-class DesignedParams(MonitoredPath):
-    """Placeholder carrying mode-design parameters until the runner builds it."""
-
-    def __init__(self, dim: int, probabilities: np.ndarray, frequencies: np.ndarray):
-        self.dim = dim
-        self.probabilities = probabilities
-        self.frequencies = frequencies
-
-    def _sample(self, ts):
-        raise ConfigError(
-            "designed paths must be instantiated by the runner before evaluation"
-        )
 
 
 def _parse_run(block) -> RunSettings:
@@ -300,7 +295,9 @@ def load_scenario(config_path, tol: ToleranceProfile = DEFAULT) -> Scenario:
 
     Raises :class:`ConfigError` for structural problems and the validation
     errors of the underlying types (non-Hermitian matrices, non-unit states)
-    for bad numerical content.
+    for bad numerical content.  A ``designed`` path is built here, so its
+    physics errors (``ParallelTransportError``, ``DegenerateTargetError``)
+    come from this function too.
     """
     path = Path(config_path)
     try:
@@ -323,7 +320,6 @@ def load_scenario(config_path, tol: ToleranceProfile = DEFAULT) -> Scenario:
 
     if "path" not in raw:
         raise ConfigError("missing required key 'path'")
-    monitored = _parse_path(raw["path"], dim, tol)
 
     hamiltonian = raw.get("hamiltonian", "zero")
     if isinstance(hamiltonian, str):
@@ -352,6 +348,8 @@ def load_scenario(config_path, tol: ToleranceProfile = DEFAULT) -> Scenario:
     if not isinstance(name, str) or not name:
         raise ConfigError("name: expected a non-empty string")
 
+    # last, so that a designed path's physics errors follow every schema check
+    monitored, target = _parse_path(raw["path"], dim, tol)
     return Scenario(
         name=name,
         dimension=dim,
@@ -361,4 +359,5 @@ def load_scenario(config_path, tol: ToleranceProfile = DEFAULT) -> Scenario:
         run=run,
         sweep=sweep,
         output=output,
+        target=target,
     )

@@ -83,12 +83,6 @@ class DarkTrajectory:
     def dim(self) -> int:
         return self.states.shape[1]
 
-    @property
-    def normalized_states(self) -> np.ndarray:
-        """Unit-norm view of the states; zero states stay zero."""
-        safe = np.where(self.norms > 0.0, self.norms, 1.0)
-        return self.states / safe[:, None]
-
     def csv_columns(self) -> list[str]:
         return ["t"] + _state_columns(self.dim) + ["norm", "survival_prob", "orth_residual"]
 

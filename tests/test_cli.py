@@ -278,6 +278,37 @@ class TestSweepCommand:
             report = run_sweep(write(tmp_path, cfg_dict))
             assert report.metrics["slope"] == pytest.approx(-1.0, abs=0.15)
 
+    def test_designed_sweep_builds_the_design_once(self, tmp_path, monkeypatch):
+        # the designed path is built at load, not once per sweep point
+        import zenodark.scenario
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return zd.mode_design(*args, **kwargs)
+
+        monkeypatch.setattr(zenodark.scenario, "mode_design", counted, raising=False)
+        cfg = write(
+            tmp_path,
+            {
+                "dimension": 3,
+                "initial_state": [S3, S3, S3],
+                "hamiltonian": "zero",
+                "path": {
+                    "type": "designed",
+                    "probabilities": [0.5, 0.25, 0.25],
+                    "frequencies": [0, 2, -2],
+                },
+                "run": {"mode": "embedded", "T": 0.5, "dt": 0.01, "E": 100.0},
+                "sweep": {"parameter": "E", "values": [50.0, 100.0, 200.0, 400.0]},
+                "output": {"directory": str(tmp_path / "out"), "formats": ["json"]},
+            },
+        )
+        report = run_sweep(cfg)
+        assert len(calls) == 1
+        assert report.metrics["slope"] == pytest.approx(-1.0, abs=0.15)
+
     def test_sweep_without_block_exits_2(self, tmp_path):
         cfg = write(tmp_path, continuous_config(str(tmp_path / "out")))
         assert main(["sweep", cfg, "--quiet"]) == 2

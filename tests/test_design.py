@@ -39,21 +39,20 @@ class TestCompatibility:
         psi0 = random_unit(rng, 3)
         dec = np.linalg.eigh(H)
 
-        def state(t):
-            return dec.eigenvectors @ (
-                np.exp(-1j * dec.eigenvalues * t) * (dec.eigenvectors.conj().T @ psi0)
-            )
+        def states_on(ts):
+            phases = np.exp(-1j * np.outer(ts, dec.eigenvalues))
+            return (phases * (dec.eigenvectors.conj().T @ psi0)) @ dec.eigenvectors.T
 
-        def derivative(t):
-            return -1j * H @ state(t)
+        def derivatives_on(ts):
+            return -1j * states_on(ts) @ H.T
 
-        traj = zd.PrescribedTrajectory(3, state, derivative)
+        traj = zd.PrescribedTrajectory(3, states_on, derivatives_on)
         grid = np.linspace(0.0, 2.0, 101)
         assert zd.validate_dark_compatibility(traj, H, grid) <= 1e-10
 
     def test_stencil_fallback_without_analytic_derivative(self):
         traj_analytic = zd.ModeTrajectory([0.5, 0.5], [1.0, -1.0])
-        traj_sampled = zd.PrescribedTrajectory(2, traj_analytic.state_at)
+        traj_sampled = zd.PrescribedTrajectory(2, traj_analytic.states_on)
         grid = np.linspace(0.0, 2.0, 2001)
         residual = zd.validate_dark_compatibility(traj_sampled, np.zeros((2, 2)), grid)
         assert residual <= 1e-9
@@ -93,7 +92,7 @@ class TestDesignMonitoredState:
 
     def test_stationary_target_rejected(self):
         traj = zd.PrescribedTrajectory(
-            2, lambda t: np.array([1.0, 0.0]), lambda t: np.zeros(2)
+            2, lambda ts: np.tile([1.0, 0.0], (ts.size, 1)), lambda ts: np.zeros((ts.size, 2))
         )
         with pytest.raises(DegenerateTargetError):
             zd.design_monitored_state(traj, np.zeros((2, 2)), np.linspace(0.0, 1.0, 11))
@@ -115,10 +114,20 @@ class TestDesignMonitoredState:
         probe = probe - np.vdot(f0, probe) * f0
         probe /= np.linalg.norm(probe)
 
-        def state(t):
-            return zd.closed_form_solution(probe, H, K, f0, float(t))
+        # closed_form_solution as its mode expansion over the complement
+        # spectrum, sum_k c_k exp(-i w_k t) exp(-i K t) u_k, on a whole grid
+        spectrum = zd.zeno_spectrum(H, K, f0, probe)
 
-        traj = zd.PrescribedTrajectory(3, state)
+        def states_on(ts):
+            inner = np.exp(-1j * np.outer(ts, spectrum.frequencies)) * spectrum.coefficients
+            return (inner @ spectrum.modes.T) * np.exp(-1j * np.outer(ts, np.diag(K)))
+
+        np.testing.assert_allclose(
+            states_on(np.array([0.3]))[0],
+            zd.closed_form_solution(probe, H, K, f0, 0.3),
+            atol=1e-12,
+        )
+        traj = zd.PrescribedTrajectory(3, states_on)
         grid = np.linspace(0.0, 1.0, 801)
         result = zd.design_monitored_state(traj, H, grid)
         # the designed monitored state reproduces the generator path's
@@ -128,6 +137,88 @@ class TestDesignMonitoredState:
             f_design, _ = result.path.evaluate(t)
             f_true, _ = path.evaluate(t)
             assert abs(abs(np.vdot(f_true, f_design)) - 1.0) <= 1e-8
+
+
+class TestGridTargets:
+    """Targets are grid callables; designed paths take a closed-form fdot."""
+
+    def sampled_mode_design(self, h):
+        # the three-mode target without its analytic derivative, designed on
+        # a grid of spacing h, next to mode_design's closed-form path
+        target, exact = zd.mode_design([0.5, 0.25, 0.25], [0.0, 2.0, -2.0])
+        traj = zd.PrescribedTrajectory(3, target.states_on)
+        grid = h * np.arange(int(round(2.0 / h)) + 1)
+        return zd.design_monitored_state(traj, np.zeros((3, 3)), grid), exact
+
+    def test_sampled_target_matches_mode_design_at_fourth_order(self):
+        ts = np.linspace(0.1, 1.9, 7)
+        errors = []
+        for h in (0.02, 0.01, 0.005):
+            result, exact = self.sampled_mode_design(h)
+            f, fdot = result.path.evaluate_many(ts)
+            f_exact, fdot_exact = exact.evaluate_many(ts)
+            phase = np.einsum("ij,ij->i", f_exact.conj(), f)
+            # one global phase: the same unit factor at every time
+            np.testing.assert_allclose(np.abs(phase), 1.0, atol=1e-12)
+            np.testing.assert_allclose(phase, phase[0], atol=1e-12)
+            np.testing.assert_allclose(f, phase[0] * f_exact, atol=1e-12)
+            errors.append(float(np.abs(fdot - phase[0] * fdot_exact).max()))
+        assert errors[0] / errors[1] >= 10.0
+        assert errors[1] / errors[2] >= 10.0
+        assert errors[2] <= 1e-9
+
+    def test_one_point_grid_keeps_fdot_accurate(self):
+        target, exact = zd.mode_design([0.5, 0.25, 0.25], [0.0, 2.0, -2.0])
+        ts = np.linspace(0.1, 1.9, 7)
+        f_exact, fdot_exact = exact.evaluate_many(ts)
+        for traj in (target, zd.PrescribedTrajectory(3, target.states_on)):
+            result = zd.design_monitored_state(traj, np.zeros((3, 3)), [0.0])
+            f, fdot = result.path.evaluate_many(ts)
+            phase = np.einsum("ij,ij->i", f_exact.conj(), f)[:, None]
+            assert np.abs(fdot - phase * fdot_exact).max() <= 1e-10
+
+    def test_one_evaluation_makes_five_target_calls(self):
+        target = zd.ModeTrajectory([0.5, 0.25, 0.25], [0.0, 2.0, -2.0])
+        sizes = []
+
+        def counted(ts):
+            sizes.append(np.size(ts))
+            return target.states_on(ts)
+
+        traj = zd.PrescribedTrajectory(3, counted)
+        result = zd.design_monitored_state(traj, np.zeros((3, 3)), np.linspace(0.0, 2.0, 201))
+        for k in (1, 10, 1000):
+            sizes.clear()
+            result.path.evaluate_many(np.linspace(0.0, 2.0, k))
+            assert sizes == [k] * 5
+
+    def test_state_at_is_row_zero_of_the_grid_callable(self):
+        target = zd.ModeTrajectory([0.5, 0.5], [1.0, -1.0])
+        traj = zd.PrescribedTrajectory(2, target.states_on)
+        np.testing.assert_array_equal(traj.state_at(0.7), target.states_on([0.7])[0])
+        assert not traj.has_derivative
+        with pytest.raises(InputError):
+            traj.derivatives_on([0.7])
+
+    @pytest.mark.parametrize(
+        "states_on, derivatives_on",
+        [
+            (lambda ts: np.zeros((ts.size, 3)), None),
+            (lambda ts: np.ones(ts.size), None),
+            (lambda ts: np.full((ts.size, 2), np.nan), None),
+            (lambda ts: np.tile([1.0, 0.0], (ts.size, 1)), lambda ts: np.zeros((1, 2))),
+            (
+                lambda ts: np.tile([1.0, 0.0], (ts.size, 1)),
+                lambda ts: np.full((ts.size, 2), np.inf),
+            ),
+        ],
+        ids=["wrong-width", "one-dimensional", "nan", "derivative-rows", "derivative-inf"],
+    )
+    def test_bad_grid_callable_raises_input_error(self, states_on, derivatives_on):
+        traj = zd.PrescribedTrajectory(2, states_on, derivatives_on)
+        grid = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(InputError):
+            zd.design_monitored_state(traj, np.zeros((2, 2)), grid)
 
 
 class TestModeDesign:

@@ -104,7 +104,7 @@ class TestModePath:
         K = random_hermitian(rng, 4)
         f0 = random_unit(rng, 4)
         gen = zd.GeneratorPath(K, f0)
-        mode = gen.to_mode_path()
+        mode = zd.ModePath(gen.amplitudes, gen.frequencies, gen.modes)
         back = mode.to_generator_path()
         for t in rng.uniform(-10.0, 10.0, 100):
             fg, fdg = gen.evaluate(float(t))
@@ -121,7 +121,7 @@ class TestNormPreservation:
         K = random_hermitian(rng, 3)
         f0 = random_unit(rng, 3)
         gen = zd.GeneratorPath(K, f0)
-        mode = gen.to_mode_path()
+        mode = zd.ModePath(gen.amplitudes, gen.frequencies, gen.modes)
         grid = np.linspace(0.0, 3.0, 601)
         F, _ = gen.evaluate_many(grid)
         sampled = zd.SampledPath(grid, F)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import zenodark as zd
-from zenodark.errors import ConfigError, HermiticityError
+from zenodark.errors import ConfigError, HermiticityError, ParallelTransportError
 from zenodark.scenario import load_scenario
 
 
@@ -117,6 +117,35 @@ def test_designed_path_block_parses(tmp_path):
     sc = load_scenario(write_config(tmp_path, cfg))
     assert sc.initial_state is None
     assert sc.run.mode == "inverse"
+    # the design is built at load: the path is mode_design's closed form
+    target, path = zd.mode_design([0.5, 0.25, 0.25], [0.0, 2.0, -2.0])
+    assert isinstance(sc.path, zd.DesignedPath)
+    assert isinstance(sc.target, zd.ModeTrajectory)
+    grid = np.linspace(0.0, 1.0, 11)
+    np.testing.assert_array_equal(sc.path.evaluate_many(grid)[1], path.evaluate_many(grid)[1])
+    np.testing.assert_array_equal(sc.target.states_on(grid), target.states_on(grid))
+
+
+def test_designed_path_physics_errors_raised_at_load(tmp_path):
+    cfg = {
+        "dimension": 3,
+        "path": {
+            "type": "designed",
+            "probabilities": [0.5, 0.25, 0.25],
+            "frequencies": [0, 2, -1],
+        },
+        "run": {"mode": "inverse", "T": 1.0, "dt": 0.001},
+    }
+    with pytest.raises(ParallelTransportError):
+        load_scenario(write_config(tmp_path, cfg))
+    # schema errors elsewhere in the file still come first
+    cfg["run"] = {"mode": "inverse"}
+    with pytest.raises(ConfigError):
+        load_scenario(write_config(tmp_path, cfg))
+
+
+def test_other_path_types_have_no_target(tmp_path):
+    assert load_scenario(write_config(tmp_path, base_config())).target is None
 
 
 def test_initial_state_required_outside_inverse(tmp_path):
