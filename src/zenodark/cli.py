@@ -7,6 +7,13 @@ trajectory CSV and/or a summary JSON into the output directory.  Exit codes:
 (orthogonality setup, dark-compatibility or parallel-transport violation,
 commutation requirement).
 
+Every command runs through one runner: load the scenario, check the block
+the command needs (``run`` a run block, ``sweep`` a sweep block, ``design``
+an ``inverse`` run), call the command's executor, write its ``(mode,
+metrics, extra, trajectory)``.  Every other rule about a file's contents is
+:func:`~zenodark.scenario.load_scenario`'s, so a file whose blocks
+contradict each other fails under every command.
+
 Sweep points run one after another in the calling thread, in the order the
 scenario lists them.
 """
@@ -22,11 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import (
-    design_monitored_state,
-    pancharatnam_phase,
-    parallel_transport_residual,
-)
+from .design import design_monitored_state, pancharatnam_phase, parallel_transport_residual
 from .dynamics import (
     closed_form_run,
     closed_form_solution,
@@ -36,18 +39,12 @@ from .dynamics import (
     step_count,
     zeno_spectrum,
 )
-from .embedding import adiabatic_alpha_check, embedded_run
-from .errors import (
-    CommutatorError,
-    ConfigError,
-    InputError,
-    PhysicsError,
-    UnsupportedVariantError,
-)
+from .embedding import MAX_PHASE_STEP, adiabatic_alpha_check, embedded_run
+from .errors import CommutatorError, ConfigError, InputError, PhysicsError, UnsupportedVariantError
 from .paths import generator_path_of, period_of
 from .scenario import Scenario, load_scenario
 from .tolerances import PROFILES, ToleranceProfile
-from .trajectory import format_float
+from .trajectory import write_rows
 
 __all__ = ["RunReport", "run_scenario", "run_sweep", "run_spectrum", "run_design", "main"]
 
@@ -64,26 +61,13 @@ class RunReport:
     duration_seconds: float
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+def _json_default(value):
+    # what json cannot write itself: complex numbers and numpy values
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
-
-
-def _require_zero_hamiltonian(scenario: Scenario) -> None:
-    if np.any(scenario.hamiltonian):
-        raise ConfigError(
-            "embedded mode models a pure energy shift of the monitored state; "
-            "set hamiltonian to \"zero\""
-        )
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"cannot write {type(value).__name__} to JSON")
 
 
 # reference grids are refined to this step so the integrator's own
@@ -100,12 +84,9 @@ def _dark_reference_states(psi0, path, H, T, dt, tol) -> np.ndarray:
 def _execute_run(scenario: Scenario, tol: ToleranceProfile):
     """Run the scenario's mode.  Returns (mode, metrics, extra, trajectory)."""
     run = scenario.run
-    if run is None:
-        raise ConfigError("scenario has no 'run' block")
     H = scenario.hamiltonian
     psi0 = scenario.initial_state
     path, target = scenario.path, scenario.target
-    extra: dict = {}
 
     if run.mode == "discrete":
         M = run.M if run.M is not None else step_count(run.T, run.tau)
@@ -118,7 +99,7 @@ def _execute_run(scenario: Scenario, tol: ToleranceProfile):
             "norm_deficit": float(1.0 - traj.survival_probability[-1]),
             "max_orthogonality_residual": float(traj.orthogonality_residual.max()),
         }
-        return run.mode, metrics, extra, traj
+        return run.mode, metrics, {}, traj
 
     if run.mode == "continuous":
         traj = continuous_dark_run(psi0, path, H, run.T, run.dt, tol=tol)
@@ -140,7 +121,7 @@ def _execute_run(scenario: Scenario, tol: ToleranceProfile):
             )
         except (UnsupportedVariantError, CommutatorError):
             pass
-        return run.mode, metrics, extra, traj
+        return run.mode, metrics, {}, traj
 
     if run.mode == "closed_form":
         traj = closed_form_run(psi0, path, H, run.T, run.dt, tol=tol)
@@ -155,15 +136,12 @@ def _execute_run(scenario: Scenario, tol: ToleranceProfile):
             "final_fidelity_vs_integrator": float(overlaps[-1]),
             "min_fidelity_vs_integrator": float(overlaps.min()),
         }
-        return run.mode, metrics, extra, traj
+        return run.mode, metrics, {}, traj
 
     if run.mode == "embedded":
-        _require_zero_hamiltonian(scenario)
         traj = embedded_run(psi0, path, run.E, run.T, run.dt, tol=tol)
         reference = _dark_reference_states(psi0, path, H, run.T, run.dt, tol)
-        deviation = float(
-            np.linalg.norm(traj.dark_states - reference, axis=1).max()
-        )
+        deviation = float(np.linalg.norm(traj.dark_states - reference, axis=1).max())
         metrics = {
             "E": run.E,
             "dt": run.dt,
@@ -171,41 +149,37 @@ def _execute_run(scenario: Scenario, tol: ToleranceProfile):
             "alpha_quasi_static_residual": float(adiabatic_alpha_check(traj, path, tol=tol)),
             "max_full_norm_deviation": float(np.abs(1.0 - traj.full_norms).max()),
         }
-        return run.mode, metrics, extra, traj
+        return run.mode, metrics, {}, traj
 
-    if run.mode == "inverse":
-        if target is None:
-            raise ConfigError("inverse mode needs a path of type 'designed'")
-        steps = step_count(run.T, run.dt)
-        grid = run.dt * np.arange(steps + 1)
-        diagnostic = grid[:: max(1, steps // 500)]
-        result = design_monitored_state(target, H, diagnostic, tol=tol)
-        psi_start = target.state_at(0.0)
-        forward = continuous_dark_run(psi_start, path, H, run.T, run.dt, tol=tol)
-        targets = target.states_on(forward.times)
-        fidelities = np.abs(np.einsum("ij,ij->i", targets.conj(), forward.states))
-        metrics = {
-            "dt": run.dt,
-            "compatibility_residual": float(result.compatibility_residual),
-            "design_orthogonality_residual": float(result.orthogonality_residual),
-            "roundtrip_min_fidelity": float(fidelities.min()),
-            "roundtrip_final_fidelity": float(fidelities[-1]),
-            "parallel_transport_residual": float(parallel_transport_residual(forward)),
-            "geometric_phase": float(pancharatnam_phase(forward, tol=tol)),
-        }
-        stride = max(1, result.grid.size // 100)
-        extra["design"] = {
-            "normalization_grid": result.grid[::stride],
-            "normalization_samples": result.normalization_samples[::stride],
-            "residuals": {
-                "compatibility": result.compatibility_residual,
-                "orthogonality": result.orthogonality_residual,
-            },
-            "phases": {"geometric_phase": metrics["geometric_phase"]},
-        }
-        return run.mode, metrics, extra, forward
-
-    raise ConfigError(f"unknown run mode {run.mode!r}")
+    # run.mode == "inverse": load_scenario has checked the path is designed
+    steps = step_count(run.T, run.dt)
+    grid = run.dt * np.arange(steps + 1)
+    diagnostic = grid[:: max(1, steps // 500)]
+    result = design_monitored_state(target, H, diagnostic, tol=tol)
+    psi_start = target.state_at(0.0)
+    forward = continuous_dark_run(psi_start, path, H, run.T, run.dt, tol=tol)
+    targets = target.states_on(forward.times)
+    fidelities = np.abs(np.einsum("ij,ij->i", targets.conj(), forward.states))
+    metrics = {
+        "dt": run.dt,
+        "compatibility_residual": float(result.compatibility_residual),
+        "design_orthogonality_residual": float(result.orthogonality_residual),
+        "roundtrip_min_fidelity": float(fidelities.min()),
+        "roundtrip_final_fidelity": float(fidelities[-1]),
+        "parallel_transport_residual": float(parallel_transport_residual(forward)),
+        "geometric_phase": float(pancharatnam_phase(forward, tol=tol)),
+    }
+    stride = max(1, result.grid.size // 100)
+    design = {
+        "normalization_grid": result.grid[::stride],
+        "normalization_samples": result.normalization_samples[::stride],
+        "residuals": {
+            "compatibility": result.compatibility_residual,
+            "orthogonality": result.orthogonality_residual,
+        },
+        "phases": {"geometric_phase": metrics["geometric_phase"]},
+    }
+    return run.mode, metrics, {"design": design}, forward
 
 
 def _sweep_metric(scenario: Scenario, tol: ToleranceProfile, parameter: str, value: float) -> float:
@@ -225,8 +199,8 @@ def _sweep_metric(scenario: Scenario, tol: ToleranceProfile, parameter: str, val
         return float(np.linalg.norm(traj.states - reference.states, axis=1).max())
 
     # parameter == "E": deviation from the dark run at a step resolving E;
-    # rounding the step count up keeps dt at or below 0.1 / E
-    dt = min(run.dt, 0.1 / value)
+    # rounding the step count up keeps dt at or below MAX_PHASE_STEP / E
+    dt = min(run.dt, MAX_PHASE_STEP / value)
     dt = run.T / int(np.ceil(run.T / dt - 1e-9))
     traj = embedded_run(psi0, path, value, run.T, dt, tol=tol)
     reference = _dark_reference_states(psi0, path, H, run.T, dt, tol)
@@ -234,141 +208,20 @@ def _sweep_metric(scenario: Scenario, tol: ToleranceProfile, parameter: str, val
 
 
 def _execute_sweep(scenario: Scenario, tol: ToleranceProfile):
+    """Run every sweep point and fit the log-log slope of metric against value."""
     sweep = scenario.sweep
-    if sweep is None:
-        raise ConfigError("scenario has no 'sweep' block")
-    run = scenario.run
-    if run is None:
-        raise ConfigError("sweeps need a 'run' block for the fixed parameters")
-    expected_mode = {"tau": "discrete", "dt": "continuous", "E": "embedded"}[sweep.parameter]
-    if run.mode != expected_mode:
-        raise ConfigError(
-            f"sweep over {sweep.parameter!r} needs run.mode {expected_mode!r}, "
-            f"got {run.mode!r}"
-        )
-    if sweep.parameter in ("tau", "dt") and run.T is None:
-        raise ConfigError("sweep needs run.T")
-    if sweep.parameter == "E":
-        _require_zero_hamiltonian(scenario)
-        if run.T is None or run.dt is None:
-            raise ConfigError("E sweep needs run.T and run.dt")
-
     values = list(sweep.values)
     metrics = [_sweep_metric(scenario, tol, sweep.parameter, v) for v in values]
 
     safe = np.clip(np.asarray(metrics, dtype=float), 1e-300, None)
     slope = float(np.polyfit(np.log(np.asarray(values)), np.log(safe), 1)[0])
-    summary = {
-        "parameter": sweep.parameter,
-        "values": values,
-        "metrics": metrics,
-        "slope": slope,
-    }
-    return summary
+    summary = {"parameter": sweep.parameter, "values": values, "metrics": metrics, "slope": slope}
+    headline = {"parameter": sweep.parameter, "slope": slope}
+    return scenario.run.mode, headline, {"sweep": summary}, None
 
 
-def _prepare_output(scenario: Scenario, out_dir: str | None) -> Path:
-    directory = Path(out_dir) if out_dir else Path(scenario.output.directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
-
-
-def _write_json_file(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
-
-
-def _finish(
-    scenario: Scenario,
-    command: str,
-    mode: str,
-    metrics: dict,
-    extra: dict,
-    trajectory,
-    out_dir: str | None,
-    started: float,
-) -> RunReport:
-    directory = _prepare_output(scenario, out_dir)
-    files: list[str] = []
-    if trajectory is not None and "csv" in scenario.output.formats:
-        csv_path = directory / f"{scenario.name}_trajectory.csv"
-        with open(csv_path, "w", newline="") as stream:
-            trajectory.write_csv(stream)
-        files.append(str(csv_path))
-    if "sweep" in extra and "csv" in scenario.output.formats:
-        csv_path = directory / f"{scenario.name}_sweep.csv"
-        with open(csv_path, "w", newline="") as stream:
-            stream.write("#schema=1 value,metric\n")
-            for v, m in zip(extra["sweep"]["values"], extra["sweep"]["metrics"]):
-                stream.write(f"{format_float(v)},{format_float(m)}\n")
-        files.append(str(csv_path))
-
-    duration = time.perf_counter() - started
-    if "json" in scenario.output.formats:
-        json_path = directory / f"{scenario.name}_summary.json"
-        files.append(str(json_path))
-        payload = {
-            "scenario": scenario.name,
-            "command": command,
-            "mode": mode,
-            "metrics": metrics,
-            "duration_seconds": duration,
-            "files": list(files),
-        }
-        payload.update(extra)
-        _write_json_file(json_path, payload)
-    return RunReport(
-        scenario=scenario.name,
-        command=command,
-        mode=mode,
-        metrics=metrics,
-        files=files,
-        duration_seconds=duration,
-    )
-
-
-def run_scenario(
-    config_path,
-    out_dir: str | None = None,
-    profile: str = "default",
-    tol: ToleranceProfile | None = None,
-) -> RunReport:
-    """Execute the scenario's run mode and write its artifacts."""
-    started = time.perf_counter()
-    tol = tol if tol is not None else PROFILES[profile]
-    scenario = load_scenario(config_path, tol=tol)
-    mode, metrics, extra, trajectory = _execute_run(scenario, tol)
-    return _finish(scenario, "run", mode, metrics, extra, trajectory, out_dir, started)
-
-
-def run_sweep(
-    config_path,
-    out_dir: str | None = None,
-    profile: str = "default",
-    tol: ToleranceProfile | None = None,
-) -> RunReport:
-    """Execute the scenario's sweep block and fit the log-log slope."""
-    started = time.perf_counter()
-    tol = tol if tol is not None else PROFILES[profile]
-    scenario = load_scenario(config_path, tol=tol)
-    summary = _execute_sweep(scenario, tol)
-    metrics = {"parameter": summary["parameter"], "slope": summary["slope"]}
-    return _finish(
-        scenario, "sweep", scenario.run.mode, metrics, {"sweep": summary}, None, out_dir, started
-    )
-
-
-def run_spectrum(
-    config_path,
-    out_dir: str | None = None,
-    profile: str = "default",
-    tol: ToleranceProfile | None = None,
-) -> RunReport:
-    """Compute the complement spectrum of the scenario's monitored path."""
-    started = time.perf_counter()
-    tol = tol if tol is not None else PROFILES[profile]
-    scenario = load_scenario(config_path, tol=tol)
-    if scenario.initial_state is None:
-        raise ConfigError("spectrum needs an 'initial_state'")
+def _execute_spectrum(scenario: Scenario, tol: ToleranceProfile):
+    """Complement spectrum of the monitored path and the cyclic return."""
     gen = generator_path_of(scenario.path)
     spectrum = zeno_spectrum(
         scenario.hamiltonian, gen.generator, gen.initial_state, scenario.initial_state, tol=tol
@@ -385,9 +238,96 @@ def run_spectrum(
         fidelity = cyclic_return_fidelity(spectrum, period)
         payload["return_fidelity"] = fidelity
         metrics["return_fidelity"] = fidelity
-    return _finish(
-        scenario, "spectrum", "spectrum", metrics, {"spectrum": payload}, None, out_dir, started
+    return "spectrum", metrics, {"spectrum": payload}, None
+
+
+def _finish(scenario: Scenario, command: str, result, out_dir, started: float) -> RunReport:
+    # write an executor's (mode, metrics, extra, trajectory) and report it
+    mode, metrics, extra, trajectory = result
+    directory = Path(out_dir) if out_dir else Path(scenario.output.directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    files: list[str] = []
+    if trajectory is not None and "csv" in scenario.output.formats:
+        csv_path = directory / f"{scenario.name}_trajectory.csv"
+        with open(csv_path, "w", newline="") as stream:
+            trajectory.write_csv(stream)
+        files.append(str(csv_path))
+    if "sweep" in extra and "csv" in scenario.output.formats:
+        sweep = extra["sweep"]
+        csv_path = directory / f"{scenario.name}_sweep.csv"
+        with open(csv_path, "w", newline="") as stream:
+            rows = np.column_stack([sweep["values"], sweep["metrics"]])
+            write_rows(stream, ["value", "metric"], rows)
+        files.append(str(csv_path))
+
+    duration = time.perf_counter() - started
+    if "json" in scenario.output.formats:
+        json_path = directory / f"{scenario.name}_summary.json"
+        files.append(str(json_path))
+        payload = {
+            "scenario": scenario.name,
+            "command": command,
+            "mode": mode,
+            "metrics": metrics,
+            "duration_seconds": duration,
+            "files": list(files),
+        }
+        payload.update(extra)
+        text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+        json_path.write_text(text + "\n")
+    return RunReport(
+        scenario=scenario.name,
+        command=command,
+        mode=mode,
+        metrics=metrics,
+        files=files,
+        duration_seconds=duration,
     )
+
+
+def _run_command(command: str, execute, config_path, out_dir, profile, tol) -> RunReport:
+    # every command's one prologue: load, check its own needs, execute, write
+    started = time.perf_counter()
+    tol = tol if tol is not None else PROFILES[profile]
+    scenario = load_scenario(config_path, tol=tol)
+    run = scenario.run
+    if command == "run" and run is None:
+        raise ConfigError("scenario has no 'run' block")
+    if command == "sweep" and scenario.sweep is None:
+        raise ConfigError("scenario has no 'sweep' block")
+    if command == "design" and (run is None or run.mode != "inverse"):
+        raise ConfigError("design needs run.mode 'inverse'")
+    return _finish(scenario, command, execute(scenario, tol), out_dir, started)
+
+
+def run_scenario(
+    config_path,
+    out_dir: str | None = None,
+    profile: str = "default",
+    tol: ToleranceProfile | None = None,
+) -> RunReport:
+    """Execute the scenario's run mode and write its artifacts."""
+    return _run_command("run", _execute_run, config_path, out_dir, profile, tol)
+
+
+def run_sweep(
+    config_path,
+    out_dir: str | None = None,
+    profile: str = "default",
+    tol: ToleranceProfile | None = None,
+) -> RunReport:
+    """Execute the scenario's sweep block and fit the log-log slope."""
+    return _run_command("sweep", _execute_sweep, config_path, out_dir, profile, tol)
+
+
+def run_spectrum(
+    config_path,
+    out_dir: str | None = None,
+    profile: str = "default",
+    tol: ToleranceProfile | None = None,
+) -> RunReport:
+    """Compute the complement spectrum of the scenario's monitored path."""
+    return _run_command("spectrum", _execute_spectrum, config_path, out_dir, profile, tol)
 
 
 def run_design(
@@ -397,20 +337,15 @@ def run_design(
     tol: ToleranceProfile | None = None,
 ) -> RunReport:
     """Run inverse design for a scenario with a designed path."""
-    started = time.perf_counter()
-    tol = tol if tol is not None else PROFILES[profile]
-    scenario = load_scenario(config_path, tol=tol)
-    if scenario.run is None or scenario.run.mode != "inverse":
-        raise ConfigError("design needs run.mode 'inverse'")
-    mode, metrics, extra, trajectory = _execute_run(scenario, tol)
-    return _finish(scenario, "design", mode, metrics, extra, trajectory, out_dir, started)
+    return _run_command("design", _execute_run, config_path, out_dir, profile, tol)
 
 
+# each subcommand's function and help text
 _COMMANDS = {
-    "run": run_scenario,
-    "sweep": run_sweep,
-    "spectrum": run_spectrum,
-    "design": run_design,
+    "run": (run_scenario, "execute the scenario's run mode"),
+    "sweep": (run_sweep, "run the scenario's parameter sweep and fit a slope"),
+    "spectrum": (run_spectrum, "compute the complement spectrum of the monitored path"),
+    "design": (run_design, "inverse-design the monitored state for a target trajectory"),
 }
 
 
@@ -420,13 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulate dark evolution in a time-varying Zeno subspace",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "run": "execute the scenario's run mode",
-        "sweep": "run the scenario's parameter sweep and fit a slope",
-        "spectrum": "compute the complement spectrum of the monitored path",
-        "design": "inverse-design the monitored state for a target trajectory",
-    }
-    for name, text in helps.items():
+    for name, (_, text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("config", help="scenario JSON file")
         cmd.add_argument("--out", default=None, help="output directory override")
@@ -443,13 +372,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        report = _COMMANDS[args.command](
-            args.config, out_dir=args.out, profile=args.tolerance_profile
-        )
+        run, _ = _COMMANDS[args.command]
+        report = run(args.config, out_dir=args.out, profile=args.tolerance_profile)
     except PhysicsError as exc:
         print(f"physics validation error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, InputError, UnsupportedVariantError) as exc:
+    except (ConfigError, InputError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

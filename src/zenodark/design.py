@@ -14,10 +14,10 @@ positive prefactor), and its derivative is closed form,
 
 Targets are grid callables: ``states_on`` (and optionally
 ``derivatives_on``) map a ``(k,)`` time grid to ``(k, N)`` rows.  One
-centered 5-point window of target states at the design spacing gives
-``psiddot``, and ``psidot`` when no analytic derivative is given (Fornberg
-weights, fourth order), so a designed path makes five ``states_on`` calls
-per evaluated grid, whatever its length.  For mode targets
+centered 5-point window at the design spacing (Fornberg weights, fourth
+order) of ``derivatives_on`` if given, else of ``states_on``, supplies the
+derivatives, so a design and each grid its path evaluates take five calls
+of the windowed callable, whatever the grid's length.  For mode targets
 ``psi(t) = sum_j sqrt(p_j) exp(-i nu_j t) |j>`` everything is closed form.
 
 Phase diagnostics use the discrete geometric-phase sum over consecutive
@@ -61,8 +61,8 @@ class PrescribedTrajectory:
 
     ``states_on`` maps a ``(k,)`` float grid to the ``(k, dim)`` rows of
     ``psi``; the optional ``derivatives_on`` does the same for ``psidot``.
-    Without it, design operations differentiate ``states_on`` with
-    fourth-order stencils.
+    Design operations differentiate the highest of the two they are given
+    with fourth-order stencils.
     """
 
     def __init__(self, dim: int, states_on, derivatives_on=None):
@@ -155,21 +155,31 @@ class DesignResult:
 def _spacing(grid: np.ndarray) -> float:
     # the design spacing: the grid's median step.  A one-point grid has none;
     # 2e-3 ~ eps**(1/6) balances the h**4 truncation and eps/h**2 rounding
-    # of the fourth-order psiddot stencil for frequencies of order one
+    # of the fourth-order psiddot stencil of states for frequencies of order one
     return float(np.median(np.diff(grid))) if grid.size > 1 else 2e-3
 
 
 def _jet(traj: PrescribedTrajectory, ts: np.ndarray, spacing: float):
-    # (psi, psidot, psiddot) on ts from one centered 5-point window of target
-    # states; psidot is the analytic derivative when the target has one
+    # (psi, psidot, psiddot) on ts from one centered 5-point window: of the
+    # analytic derivative when the target has one, else of its states
     offsets = spacing * np.arange(-2.0, 3.0)
-    window = np.stack([traj.states_on(ts + o) for o in offsets])
+    weights = [fd_weights(offsets, 0.0, order) for order in (1, 2)]
     if traj.has_derivative:
-        velocity = traj.derivatives_on(ts)
-    else:
-        velocity = np.tensordot(fd_weights(offsets, 0.0, 1), window, axes=(0, 0))
-    acceleration = np.tensordot(fd_weights(offsets, 0.0, 2), window, axes=(0, 0))
+        window = np.stack([traj.derivatives_on(ts + o) for o in offsets])
+        return traj.states_on(ts), window[2], np.tensordot(weights[0], window, axes=(0, 0))
+    window = np.stack([traj.states_on(ts + o) for o in offsets])
+    velocity, acceleration = (np.tensordot(w, window, axes=(0, 0)) for w in weights)
     return window[2], velocity, acceleration
+
+
+def _compatibility_residual(H: np.ndarray, states, derivs, tol: ToleranceProfile) -> float:
+    norms = np.linalg.norm(states, axis=1)
+    worst = float(np.abs(norms - 1.0).max())
+    if worst > tol.unit_state:
+        raise InputError(f"prescribed states must be unit-norm, worst {worst:.3e}")
+    phase_rate = 1j * np.einsum("ij,ij->i", states.conj(), derivs)
+    energy = np.einsum("ij,ij->i", states.conj(), states @ H.T)
+    return float(np.abs(phase_rate - energy).max())
 
 
 def validate_dark_compatibility(
@@ -179,13 +189,7 @@ def validate_dark_compatibility(
     H = require_hermitian(H, tol, name="hamiltonian")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     states, derivs, _ = _jet(traj, grid, _spacing(grid))
-    norms = np.linalg.norm(states, axis=1)
-    worst = float(np.abs(norms - 1.0).max())
-    if worst > tol.unit_state:
-        raise InputError(f"prescribed states must be unit-norm, worst {worst:.3e}")
-    phase_rate = 1j * np.einsum("ij,ij->i", states.conj(), derivs)
-    energy = np.einsum("ij,ij->i", states.conj(), states @ H.T)
-    return float(np.abs(phase_rate - energy).max())
+    return _compatibility_residual(H, states, derivs, tol)
 
 
 def design_monitored_state(
@@ -206,18 +210,19 @@ def design_monitored_state(
     """
     H = require_hermitian(H, tol, name="hamiltonian")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    residual = validate_dark_compatibility(traj, H, grid, tol)
+    spacing = _spacing(grid)
+    # one jet on the design grid serves the compatibility check and the samples
+    jet = _jet(traj, grid, spacing)
+    residual = _compatibility_residual(H, jet[0], jet[1], tol)
     if residual > tol.compatibility:
         raise CompatibilityError(
             f"trajectory violates dark compatibility: residual {residual:.3e} "
             f"exceeds {tol.compatibility:.3e}"
         )
-    spacing = _spacing(grid)
 
-    def designed(ts: np.ndarray):
+    def designed(psi, velocity, acceleration):
         # f = g/||g|| and fdot = (gdot - f Re<f|gdot>)/||g|| with
         # g = H psi - i psidot, plus the prefactors 1/||g|| and |<psi|f>|
-        psi, velocity, acceleration = _jet(traj, ts, spacing)
         g = psi @ H.T - 1j * velocity
         norms, overlaps = row_norms_and_overlaps(psi, g)
         nsq = norms**2
@@ -232,14 +237,14 @@ def design_monitored_state(
         fdot = (gdot - f * radial[:, None]) * prefactors[:, None]
         return f, fdot, prefactors, overlaps * prefactors
 
-    _, _, samples, overlaps = designed(grid)
+    _, _, samples, overlaps = designed(*jet)
     orth = float(overlaps.max())
     if orth > 10.0 * tol.compatibility:
         raise CompatibilityError(
             f"designed state fails orthogonality to the target: {orth:.3e}"
         )
 
-    path = DesignedPath(traj.dim, lambda ts: designed(ts)[:2], tol=tol)
+    path = DesignedPath(traj.dim, lambda ts: designed(*_jet(traj, ts, spacing))[:2], tol=tol)
     return DesignResult(
         path=path,
         compatibility_residual=residual,

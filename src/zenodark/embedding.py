@@ -30,8 +30,8 @@ from .trajectory import EmbeddedTrajectory
 
 __all__ = ["embedded_run", "adiabatic_alpha_check"]
 
-# steps per fast period required of the integrator grid
-_DT_CAP = 0.1
+# Largest fast phase E * dt of one step, about 63 steps per period 2 pi / E
+MAX_PHASE_STEP = 0.1
 
 
 def embedded_run(
@@ -44,9 +44,10 @@ def embedded_run(
 ) -> EmbeddedTrajectory:
     """Propagate under ``energy * |f(t)><f(t)|`` with midpoint steps.
 
-    ``dt`` must resolve the fast scale: ``dt <= 0.1 / energy``.  The run
-    records the full state and its decomposition into the dark component
-    (orthogonal to ``f(t)``) and the monitored amplitude ``alpha(t)``.
+    ``dt`` must resolve the fast scale: ``dt <= MAX_PHASE_STEP / energy``.
+    The run records the full state and its decomposition into the dark
+    component (orthogonal to ``f(t)``) and the monitored amplitude
+    ``alpha(t)``.
 
     Raises
     ------
@@ -59,10 +60,10 @@ def embedded_run(
     if energy < 0.0:
         raise InputError("energy shift must be nonnegative")
     steps = step_count(T, dt)
-    if energy > 0.0 and dt > _DT_CAP / energy * (1.0 + 1e-9):
+    if energy > 0.0 and dt > MAX_PHASE_STEP / energy * (1.0 + 1e-9):
         raise ResolutionError(
             f"dt = {dt:g} too coarse for energy {energy:g}: need dt <= "
-            f"{_DT_CAP / energy:g} to resolve the fast phase"
+            f"{MAX_PHASE_STEP / energy:g} to resolve the fast phase"
         )
 
     times = dt * np.arange(steps + 1)

@@ -8,7 +8,7 @@ violations.  Top-level keys::
     {
       "name":          optional string (defaults to the file stem),
       "description":   optional string, ignored,
-      "dimension":     N >= 2,
+      "dimension":     2 <= N <= MAX_DIMENSION,
       "initial_state": complex vector, normalized at parse time
                        (optional for mode "inverse"),
       "hamiltonian":   "zero" or an N x N Hermitian matrix,
@@ -32,6 +32,13 @@ Path blocks:
 * ``designed``: ``"probabilities"`` and ``"frequencies"`` of a mode target;
   the monitored state is constructed by inverse design (``mode_design``)
   once, at load, and the scenario keeps the target as ``Scenario.target``.
+
+Rules across blocks, checked here so that every command rejects a file
+whose blocks contradict each other: ``initial_state`` is required unless
+``run.mode`` is ``"inverse"`` (also without a run block); ``embedded`` needs
+``"hamiltonian": "zero"``; ``inverse`` needs a ``designed`` path; a sweep
+needs a run block of the mode it varies (``tau`` -> ``discrete``, ``dt`` ->
+``continuous``, ``E`` -> ``embedded``), and a ``tau`` sweep needs ``run.T``.
 
 Schema violations raise :class:`ConfigError` (exit code 2 in the CLI).
 Physics violations (exit code 3) surface from the run itself, except those
@@ -70,8 +77,13 @@ _TOP_KEYS = {
     "output",
 }
 _MODES = {"discrete", "continuous", "closed_form", "embedded", "inverse"}
-_SWEEP_PARAMETERS = {"tau", "dt", "E"}
+# the run mode whose step each sweep parameter varies
+_SWEEP_MODES = {"tau": "discrete", "dt": "continuous", "E": "embedded"}
 _FORMATS = {"csv", "json"}
+
+# Largest dimension accepted: the Hamiltonian and every step's propagator are
+# dense N x N complex matrices, 16 MiB each at N = 1024.
+MAX_DIMENSION = 1024
 
 
 def _is_finite_number(value) -> bool:
@@ -256,8 +268,8 @@ def _parse_sweep(block) -> SweepSettings:
     if unknown:
         raise ConfigError(f"sweep: unknown keys {sorted(unknown)}")
     parameter = block.get("parameter")
-    if parameter not in _SWEEP_PARAMETERS:
-        raise ConfigError(f"sweep.parameter: expected one of {sorted(_SWEEP_PARAMETERS)}")
+    if parameter not in _SWEEP_MODES:
+        raise ConfigError(f"sweep.parameter: expected one of {sorted(_SWEEP_MODES)}")
     raw = block.get("values")
     if not isinstance(raw, list):
         raise ConfigError("sweep.values: expected a list")
@@ -315,8 +327,8 @@ def load_scenario(config_path, tol: ToleranceProfile = DEFAULT) -> Scenario:
     if "dimension" not in raw:
         raise ConfigError("missing required key 'dimension'")
     dim = raw["dimension"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 2:
-        raise ConfigError("dimension: expected an integer >= 2")
+    if isinstance(dim, bool) or not isinstance(dim, int) or not 2 <= dim <= MAX_DIMENSION:
+        raise ConfigError(f"dimension: expected an integer from 2 to {MAX_DIMENSION}")
 
     if "path" not in raw:
         raise ConfigError("missing required key 'path'")
@@ -330,6 +342,7 @@ def load_scenario(config_path, tol: ToleranceProfile = DEFAULT) -> Scenario:
         H = _complex_matrix(hamiltonian, "hamiltonian", dim)
 
     run = _parse_run(raw["run"]) if "run" in raw else None
+    mode = run.mode if run is not None else None
 
     initial = None
     if "initial_state" in raw:
@@ -338,10 +351,18 @@ def load_scenario(config_path, tol: ToleranceProfile = DEFAULT) -> Scenario:
         if nrm == 0.0:
             raise ConfigError("initial_state: must be nonzero")
         initial = initial / nrm
-    elif run is not None and run.mode != "inverse":
+    elif mode != "inverse":
         raise ConfigError("missing required key 'initial_state'")
 
     sweep = _parse_sweep(raw["sweep"]) if "sweep" in raw else None
+    if sweep is not None:
+        varied = _SWEEP_MODES[sweep.parameter]
+        if mode != varied:
+            raise ConfigError(f"sweep over {sweep.parameter!r} needs run.mode {varied!r}")
+        if run.T is None:  # only a discrete run given by M lacks T
+            raise ConfigError("sweep over 'tau' needs run.T")
+    if mode == "embedded" and np.any(H):
+        raise ConfigError('embedded mode is a pure energy shift: set hamiltonian to "zero"')
     output = _parse_output(raw.get("output"))
 
     name = raw.get("name", path.stem)
@@ -350,6 +371,8 @@ def load_scenario(config_path, tol: ToleranceProfile = DEFAULT) -> Scenario:
 
     # last, so that a designed path's physics errors follow every schema check
     monitored, target = _parse_path(raw["path"], dim, tol)
+    if mode == "inverse" and target is None:
+        raise ConfigError("inverse mode needs a path of type 'designed'")
     return Scenario(
         name=name,
         dimension=dim,

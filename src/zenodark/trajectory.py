@@ -2,7 +2,8 @@
 
 CSV files are deterministic: 17 significant digits, '.' decimal separator,
 '\\n' line endings, and a versioned header comment beginning ``#schema=1``
-that lists the column order.
+that lists the column order.  :func:`write_rows` writes every CSV the
+package produces: trajectories and the CLI's sweep tables.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import InputError
 
-__all__ = ["DarkTrajectory", "EmbeddedTrajectory", "format_float"]
+__all__ = ["DarkTrajectory", "EmbeddedTrajectory", "format_float", "write_rows"]
 
 
 def format_float(x: float) -> str:
@@ -37,7 +38,8 @@ def _state_columns(n: int) -> list[str]:
 _CSV_BLOCK_ROWS = 256
 
 
-def _write_rows(stream, columns: list[str], rows: np.ndarray) -> None:
+def write_rows(stream, columns: list[str], rows: np.ndarray) -> None:
+    """Write a ``#schema=1`` header naming ``columns``, then one line per row."""
     stream.write("#schema=1 " + ",".join(columns) + "\n")
     # "%.17g" writes every value exactly as format_float does
     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
@@ -97,7 +99,7 @@ class DarkTrajectory:
                 self.orthogonality_residual,
             ]
         )
-        _write_rows(stream, self.csv_columns(), rows)
+        write_rows(stream, self.csv_columns(), rows)
 
 
 @dataclass(frozen=True)
@@ -163,4 +165,4 @@ class EmbeddedTrajectory:
                 self.alpha.imag,
             ]
         )
-        _write_rows(stream, self.csv_columns(), rows)
+        write_rows(stream, self.csv_columns(), rows)

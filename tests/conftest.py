@@ -14,6 +14,19 @@ def random_unit(rng, n):
     return v / np.linalg.norm(v)
 
 
+def commuting_problem(n, seed):
+    """Random H, a generator path whose K commutes with it, and psi0 orthogonal to f(0)."""
+    rng = np.random.default_rng(seed)
+    V = np.linalg.qr(random_hermitian(rng, n))[0]
+    H = (V * rng.uniform(-1.0, 1.0, n)) @ V.conj().T
+    K = (V * rng.uniform(-1.0, 1.0, n)) @ V.conj().T
+    f0 = random_unit(rng, n)
+    psi0 = random_unit(rng, n)
+    psi0 = psi0 - np.vdot(f0, psi0) * f0
+    psi0 /= np.linalg.norm(psi0)
+    return psi0, zd.GeneratorPath(K, f0), H
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

@@ -345,6 +345,47 @@ class TestToleranceProfiles:
         assert err.value.code == 2
 
 
+# load_scenario rejects a file whose blocks contradict each other, so every
+# command does, even spectrum, which reads none of the blocks involved; a
+# None value removes the key
+CONTRADICTIONS = {
+    "sweep-mode-mismatch": {
+        "run": {"mode": "continuous", "T": 1.0, "dt": 0.001},
+        "sweep": {"parameter": "tau", "values": [0.01, 0.005, 0.0025]},
+    },
+    "sweep-without-run": {"sweep": {"parameter": "E", "values": [50.0, 100.0, 200.0]}},
+    "tau-sweep-without-T": {
+        "run": {"mode": "discrete", "tau": 0.01, "M": 100},
+        "sweep": {"parameter": "tau", "values": [0.01, 0.005, 0.0025]},
+    },
+    "embedded-nonzero-hamiltonian": {
+        "hamiltonian": [[0, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "run": {"mode": "embedded", "T": 1.0, "dt": 0.001, "E": 100.0},
+    },
+    "inverse-without-designed-path": {"run": {"mode": "inverse", "T": 1.0, "dt": 0.001}},
+    "no-run-no-initial-state": {"initial_state": None},
+}
+
+
+@pytest.mark.parametrize("change", CONTRADICTIONS.values(), ids=CONTRADICTIONS.keys())
+def test_contradictory_blocks_fail_at_load(tmp_path, capsys, change):
+    cfg_dict = {**spectrum_config(str(tmp_path / "out")), **change}
+    cfg_dict = {key: value for key, value in cfg_dict.items() if value is not None}
+    assert main(["spectrum", write(tmp_path, cfg_dict), "--quiet"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_oversized_dimension_exits_2(tmp_path, capsys):
+    # a 10**6 x 10**6 Hamiltonian could never be allocated
+    cfg_dict = continuous_config(str(tmp_path / "out"))
+    cfg_dict["dimension"] = 10**6
+    assert main(["run", write(tmp_path, cfg_dict), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert str(zd.scenario.MAX_DIMENSION) in err
+
+
 class TestSpectrumFromModePath:
     def test_mode_path_scenario(self, tmp_path):
         cfg_dict = spectrum_config(str(tmp_path / "out"))

@@ -192,6 +192,46 @@ class TestGridTargets:
             result.path.evaluate_many(np.linspace(0.0, 2.0, k))
             assert sizes == [k] * 5
 
+    def test_one_design_makes_five_target_calls(self):
+        # one jet on the design grid serves the compatibility check and the
+        # normalization samples
+        target = zd.ModeTrajectory([0.5, 0.25, 0.25], [0.0, 2.0, -2.0])
+        grid = np.linspace(0.0, 2.0, 1001)
+        calls = {"states": [], "derivatives": []}
+
+        def counted(kind, fn):
+            def wrapped(ts):
+                calls[kind].append(np.size(ts))
+                return fn(ts)
+
+            return wrapped
+
+        sampled = zd.PrescribedTrajectory(3, counted("states", target.states_on))
+        zd.design_monitored_state(sampled, np.zeros((3, 3)), grid)
+        assert calls == {"states": [grid.size] * 5, "derivatives": []}
+
+        calls["states"].clear()
+        analytic = zd.PrescribedTrajectory(
+            3,
+            counted("states", target.states_on),
+            counted("derivatives", target.derivatives_on),
+        )
+        zd.design_monitored_state(analytic, np.zeros((3, 3)), grid)
+        assert calls == {"states": [grid.size], "derivatives": [grid.size] * 5}
+
+    def test_analytic_target_fdot_on_a_fine_grid(self):
+        # psiddot is the first-derivative stencil of the analytic psidot, so
+        # rounding grows as eps/h, not eps/h**2
+        target, exact = zd.mode_design([0.5, 0.25, 0.25], [0.0, 2.0, -2.0])
+        grid = 1e-4 * np.arange(1001)
+        result = zd.design_monitored_state(target, np.zeros((3, 3)), grid)
+        ts = grid[::50]
+        f, fdot = result.path.evaluate_many(ts)
+        f_exact, fdot_exact = exact.evaluate_many(ts)
+        phase = np.vdot(f_exact[0], f[0])
+        np.testing.assert_allclose(f, phase * f_exact, atol=1e-12)
+        assert np.abs(fdot - phase * fdot_exact).max() <= 1e-11
+
     def test_state_at_is_row_zero_of_the_grid_callable(self):
         target = zd.ModeTrajectory([0.5, 0.5], [1.0, -1.0])
         traj = zd.PrescribedTrajectory(2, target.states_on)

@@ -13,7 +13,7 @@ from zenodark.errors import (
 )
 from zenodark.linalg import unitary_exp
 
-from conftest import random_hermitian, random_unit
+from conftest import commuting_problem, random_hermitian, random_unit
 
 
 def restricted_complement_eigenvalues(K, f0):
@@ -442,19 +442,6 @@ class TestCyclicReturn:
             zd.cyclic_return_fidelity(three_level.spectrum, None)
 
 
-def commuting_problem(n, seed):
-    """Random H, a generator path whose K commutes with it, and psi0 orthogonal to f(0)."""
-    rng = np.random.default_rng(seed)
-    V = np.linalg.qr(random_hermitian(rng, n))[0]
-    H = (V * rng.uniform(-1.0, 1.0, n)) @ V.conj().T
-    K = (V * rng.uniform(-1.0, 1.0, n)) @ V.conj().T
-    f0 = random_unit(rng, n)
-    psi0 = random_unit(rng, n)
-    psi0 = psi0 - np.vdot(f0, psi0) * f0
-    psi0 /= np.linalg.norm(psi0)
-    return psi0, zd.GeneratorPath(K, f0), H
-
-
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
 def test_continuous_run_preserves_norm_and_matches_closed_form(n, seed):
@@ -475,3 +462,20 @@ def test_orthogonality_residual_is_second_order(n, seed):
         for dt in (1e-2, 5e-3)
     }
     assert 3.5 <= worst[1e-2] / worst[5e-3] <= 4.5
+
+
+@pytest.mark.parametrize("hamiltonian", ["zero", "commuting"])
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_discrete_deficit_is_linear_in_tau(hamiltonian, n, seed):
+    # the norm deficit 1 - ||psi(T)||^2 of a discrete run vanishes as tau
+    psi0, path, H = commuting_problem(n, seed)
+    if hamiltonian == "zero":
+        H = np.zeros((n, n))
+    taus = [0.01, 0.005, 0.0025]
+    deficits = []
+    for tau in taus:
+        run = zd.discrete_dark_run(psi0, path, H, tau, int(round(1.0 / tau)))
+        deficits.append(1.0 - run.survival_probability[-1])
+    slope = np.polyfit(np.log(taus), np.log(deficits), 1)[0]
+    assert slope == pytest.approx(1.0, abs=0.1)

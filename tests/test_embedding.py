@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zenodark as zd
 from zenodark.errors import (
@@ -8,7 +9,10 @@ from zenodark.errors import (
     RegimeWarning,
     ResolutionError,
 )
+from zenodark.embedding import MAX_PHASE_STEP
 from zenodark.stencil import moving_average
+
+from conftest import commuting_problem
 
 
 class TestEmbeddedRun:
@@ -127,3 +131,20 @@ class TestZenoLimitRecovery:
         assert all(devs[i] > devs[i + 1] for i in range(3))
         for i in range(3):
             assert 1.7 <= devs[i] / devs[i + 1] <= 2.3
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_embedding_deviation_falls_as_one_over_energy(n, seed):
+    # against the dark run refined to a 1.25e-4 step, as the CLI's E-sweep does
+    psi0, path, _ = commuting_problem(n, seed)
+    energies = [50.0, 100.0, 200.0, 400.0]
+    deviations = []
+    for energy in energies:
+        dt = MAX_PHASE_STEP / energy
+        emb = zd.embedded_run(psi0, path, energy, T=0.5, dt=dt)
+        refine = int(np.ceil(dt / 1.25e-4 - 1e-12))
+        ref = zd.continuous_dark_run(psi0, path, np.zeros((n, n)), T=0.5, dt=dt / refine)
+        deviations.append(np.linalg.norm(emb.dark_states - ref.states[::refine], axis=1).max())
+    slope = np.polyfit(np.log(energies), np.log(deviations), 1)[0]
+    assert slope == pytest.approx(-1.0, abs=0.1)
