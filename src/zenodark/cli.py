@@ -36,6 +36,7 @@ from .dynamics import (
     continuous_dark_run,
     cyclic_return_fidelity,
     discrete_dark_run,
+    require_step_count,
     step_count,
     zeno_spectrum,
 )
@@ -201,7 +202,7 @@ def _sweep_metric(scenario: Scenario, tol: ToleranceProfile, parameter: str, val
     # parameter == "E": deviation from the dark run at a step resolving E;
     # rounding the step count up keeps dt at or below MAX_PHASE_STEP / E
     dt = min(run.dt, MAX_PHASE_STEP / value)
-    dt = run.T / int(np.ceil(run.T / dt - 1e-9))
+    dt = run.T / require_step_count(np.ceil(run.T / dt - 1e-9), run.T, dt)
     traj = embedded_run(psi0, path, value, run.T, dt, tol=tol)
     reference = _dark_reference_states(psi0, path, H, run.T, dt, tol)
     return float(np.linalg.norm(traj.dark_states - reference, axis=1).max())

@@ -64,6 +64,20 @@ __all__ = [
 MAX_STEPS = 10_000_000
 
 
+def require_step_count(count: float, T: float, dt: float) -> int:
+    """``count``, a whole number of steps of ``dt`` covering ``T``, as an int.
+
+    Raises :class:`InputError` unless ``count`` is at least 1 and at most
+    :data:`MAX_STEPS`.  The bounds are checked on the float, so an infinite
+    or huge count is reported rather than converted.
+    """
+    if count > MAX_STEPS:
+        raise InputError(f"{count:.3g} steps of {dt} exceed the limit of {MAX_STEPS} steps")
+    if count < 1:
+        raise InputError(f"duration {T} shorter than one step {dt}")
+    return int(count)
+
+
 def step_count(T: float, dt: float) -> int:
     """Number of uniform steps of size ``dt`` covering the duration ``T``.
 
@@ -72,12 +86,7 @@ def step_count(T: float, dt: float) -> int:
     """
     if not (0.0 < dt < np.inf and 0.0 < T < np.inf):
         raise InputError("duration and step must be finite and positive")
-    steps = int(round(T / dt))
-    if steps < 1:
-        raise InputError(f"duration {T} shorter than one step {dt}")
-    if steps > MAX_STEPS:
-        raise InputError(f"{steps} steps of {dt} exceed the limit of {MAX_STEPS} steps")
-    return steps
+    return require_step_count(np.rint(T / dt), T, dt)
 
 
 def require_orthogonal(f, psi0, tol: ToleranceProfile = DEFAULT, drift: float = 0.0) -> None:

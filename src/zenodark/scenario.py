@@ -6,7 +6,9 @@ real); matrices are row-major nested lists.  Every number must be finite:
 violations.  Top-level keys::
 
     {
-      "name":          optional string (defaults to the file stem),
+      "name":          optional string (defaults to the file stem) that
+                       prefixes the output files: one plain file name, without
+                       '/', '\\' or NUL, and not "." or "..",
       "description":   optional string, ignored,
       "dimension":     2 <= N <= MAX_DIMENSION,
       "initial_state": complex vector, normalized at parse time
@@ -314,7 +316,7 @@ def load_scenario(config_path, tol: ToleranceProfile = DEFAULT) -> Scenario:
     path = Path(config_path)
     try:
         raw = json.loads(path.read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read configuration {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration {path} is not valid JSON: {exc}") from exc
@@ -365,9 +367,12 @@ def load_scenario(config_path, tol: ToleranceProfile = DEFAULT) -> Scenario:
         raise ConfigError('embedded mode is a pure energy shift: set hamiltonian to "zero"')
     output = _parse_output(raw.get("output"))
 
+    # the name prefixes the output files, so it must be one plain file name
     name = raw.get("name", path.stem)
     if not isinstance(name, str) or not name:
         raise ConfigError("name: expected a non-empty string")
+    if name in (".", "..") or any(c in name for c in "/\\\0"):
+        raise ConfigError(f"name: {name!r} is not a plain file name")
 
     # last, so that a designed path's physics errors follow every schema check
     monitored, target = _parse_path(raw["path"], dim, tol)

@@ -1,9 +1,20 @@
 """Trajectory containers and their CSV serialization.
 
-CSV files are deterministic: 17 significant digits, '.' decimal separator,
-'\\n' line endings, and a versioned header comment beginning ``#schema=1``
-that lists the column order.  :func:`write_rows` writes every CSV the
-package produces: trajectories and the CLI's sweep tables.
+CSV files are deterministic: every value is written byte for byte as
+Python's ``"%.17g" % x`` writes it (:func:`format_float`), with '.' decimal
+separator, '\\n' line endings, and a versioned header comment beginning
+``#schema=1`` that lists the column order.  :func:`write_rows` writes every
+CSV the package produces: trajectories and the CLI's sweep tables.
+
+:func:`write_rows` formats blocks of 1,024 rows with array operations.  Each
+value's 17 significant digits come from an error-free double-double product
+with a tabulated power of ten, rounded to nearest once the decimal exponent
+is fixed from the unrounded product.  The characters are laid out in one
+fixed frame per value (separator, sign, "0." and zeros, the digits twice,
+'.', the exponent), and a keep mask, looked up by the value's sign,
+notation and digit count, picks the text of ``%g`` out of it.  Zeros, NaN,
+infinities, values outside 1e-200 <= |x| < 1e200 and values within 1e-6 of
+a rounding tie are written by :func:`format_float`.
 """
 
 from __future__ import annotations
@@ -33,19 +44,249 @@ def _state_columns(n: int) -> list[str]:
     return [f"re_psi_{j}" for j in range(n)] + [f"im_psi_{j}" for j in range(n)]
 
 
-# Rows turned into Python floats at a time: a whole 50,000-row trajectory
-# at once would hold about 20 MB of them.
-_CSV_BLOCK_ROWS = 256
+# %.17g with array operations.  A finite x with _FAST_MIN <= |x| < _FAST_MAX
+# is written from the 17-digit integer D = round(|x| * 10**(16 - X)) in
+# [10**16, 10**17) and its decimal exponent X.  The scaled value is the
+# error-free product (Dekker 1971) of |x| and 10**p held as a pair of
+# doubles, off from the exact value by about 1e-14 of a unit in the 17th
+# digit.  So X is chosen from the unrounded value, and rounding to nearest
+# is decided exactly unless the fraction lies within _TIE_WINDOW of 1/2.
+# Those values (every exact tie among them), zeros, NaN, infinities and
+# values outside the range go to format_float, one call each.
+_FAST_MIN, _FAST_MAX = 1e-200, 1e200
+_TIE_WINDOW = 1e-6
+_P_MIN, _P_MAX = -185, 218  # 16 - X over the fast range, and one more each way
+_SPLIT = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
+
+
+def _pow10_pairs():
+    """``10**p = hi + lo`` for p from _P_MIN to _P_MAX, with hi's split halves."""
+    p = np.arange(_P_MIN, _P_MAX + 1)
+    hi = 10.0**p
+    # lo = 10**p - hi in exact integers, with hi = M * 2**(e - 53)
+    mantissa, e = np.frexp(hi)
+    M = np.ldexp(mantissa, 53).astype(np.int64).astype(object)
+    tens = np.full(1 + max(-_P_MIN, _P_MAX), 10, dtype=object)
+    tens[0] = 1
+    power = np.multiply.accumulate(tens)[np.abs(p)]
+    num = np.where(p >= 0, power, 1)
+    den = np.where(p < 0, power, 1)
+    up = np.maximum(53 - e, 0).astype(object)
+    down = np.maximum(e - 53, 0).astype(object)
+    lo = (((num << up) - ((M * den) << down)) / (den << up)).astype(float)
+    c = _SPLIT * hi
+    hi_hi = c - (c - hi)
+    return hi, hi_hi, hi - hi_hi, lo
+
+
+_POW10_TABLES = _pow10_pairs()
+
+
+def _digit_tables():
+    """"0000" .. "9999" as one uint32 word each, and each one's trailing zeros."""
+    chars = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    words = np.stack(np.broadcast_arrays(*np.ix_(*[chars] * 4)), axis=-1).view(np.uint32)
+    a, b, c, d = np.ix_(*[(chars == ord("0")).astype(np.uint8)] * 4)
+    return words.ravel(), (d * (1 + c * (1 + b * (1 + a)))).ravel()
+
+
+_DIGITS4, _TRAILING_ZEROS4 = _digit_tables()
+
+# One frame of _WIDTH bytes per value holds every character its text can
+# need, at fixed places; a keep mask picks the text out of it:
+#   0-7     separator before the value, sign, "0." and the zeros of a fixed
+#           value below 1, first digit: one word, right-aligned
+#   8-23    digits 2-17       (or the fallback text, bytes 8-31)
+#   27      '.'
+#   28-43   digits 2-17 again
+#   48-55   'e', the exponent's sign and two or three digits: one word
+# A value's separator comes first, so that the text of a value below 1,
+# where most trajectory values lie, is one run of bytes.  A value that
+# starts a line takes the newline that ends the line (or the header) before.
+_WIDTH = 56
+_X_MIN = -330  # below every double's exponent
+_EXPONENTS = np.arange(_X_MIN, 1 - _X_MIN)
+
+
+def _prefix_words():
+    """Word 0 of a frame for (line start, sign, zeros + 1 or 0, first digit)."""
+    line_start = np.arange(2)[:, None, None, None, None]
+    sign = np.arange(2)[:, None, None, None]
+    zeros = np.arange(-1, 4)[:, None, None]  # -1: no "0."
+    digit = np.arange(10)[:, None]
+    b = np.arange(8)
+    below_one = np.where(zeros >= 0, 2 + zeros, 0)  # length of "0." and the zeros
+    at = b - (6 - below_one - sign)  # place in the text, 0 at the separator
+    after_sign = at - 1 - sign
+    chars = np.where(b == 7, ord("0") + digit, 0)
+    chars = np.where((after_sign >= 0) & (after_sign < below_one), ord("0"), chars)
+    chars = np.where((after_sign == 1) & (below_one > 0), ord("."), chars)
+    chars = np.where((at == 1) & (sign == 1), ord("-"), chars)
+    chars = np.where(at == 0, np.where(line_start == 1, ord("\n"), ord(",")), chars)
+    return chars.astype(np.uint8).view(np.uint64).ravel()
+
+
+def _exponent_words():
+    """Word 6 of a frame for each exponent: "e+dd" or "e+ddd", left-aligned."""
+    X = _EXPONENTS[:, None]
+    b = np.arange(8)
+    size = np.where(np.abs(X) >= 100, 5, 4)
+    place = 10 ** np.maximum(size - 1 - b, 0)  # the digit at byte b
+    chars = np.where(b < size, np.abs(X) // place % 10 + ord("0"), 0)
+    chars = np.where(b == 1, np.where(X < 0, ord("-"), ord("+")), chars)
+    chars = np.where(b == 0, ord("e"), chars)
+    return chars.astype(np.uint8).view(np.uint64).ravel()
+
+
+_PREFIX_WORDS = _prefix_words()
+_EXPONENT_WORDS = _exponent_words()
+# index into _PREFIX_WORDS: _LINE_START for a value that starts a line, 50
+# for a negative one, 10 * (zeros + 1) below one (this table), the digit
+_LINE_START = 100
+_PREFIX_OF = 10 * np.where((_EXPONENTS >= -4) & (_EXPONENTS < 0), -_EXPONENTS, 0)
+
+# Layouts: 0-20 fixed notation for X = layout - 4, 21 and 22 scientific with
+# a two- and a three-digit exponent, 23 fallback text.  A mask row is keyed
+# by (sign, layout, count), count being the significant digits or the
+# length of the fallback text; _LAYOUT_OF holds the key of 17 digits.
+_LAYOUTS, _COUNTS = 24, 25
+_FALLBACK = 23
+_LAYOUT_OF = 17 + _COUNTS * np.where(
+    (_EXPONENTS >= -4) & (_EXPONENTS < 17),
+    _EXPONENTS + 4,
+    np.where(np.abs(_EXPONENTS) < 100, 21, 22),
+)
+
+
+def _keep_masks():
+    sign = np.arange(2)[:, None, None, None]
+    layout = np.arange(_LAYOUTS)[:, None, None]
+    count = np.arange(_COUNTS)[:, None]
+    b = np.arange(_WIDTH)
+    X = layout - 4
+    fixed = layout <= 20
+    scientific = (layout == 21) | (layout == 22)
+    text = layout == _FALLBACK
+    below_one = fixed & (X < 0)
+    # the digits in the first run (before any '.'), and the bytes of word 0
+    before = np.where(below_one, count, np.where(fixed, X + 1, 1))
+    prefix = 2 + sign + np.where(below_one, 1 - X, 0)
+    keep = ~text & (b >= 8 - prefix) & (b < 7 + before)
+    fraction = ~text & ~below_one & (count > before)
+    keep = keep | (fraction & ((b == 27) | ((b >= 27 + before) & (b < 27 + count))))
+    keep = keep | (scientific & (b >= 48) & (b < 31 + layout))
+    keep = keep | (text & (b >= 7) & (b < 8 + count))
+    return keep.reshape(-1, _WIDTH)
+
+
+_KEEP = _keep_masks()
+
+
+def _scaled(a, k):
+    """``a * 10**(16 - k)`` as an integer-valued double plus a small rest."""
+    i = 16 - _P_MIN - k
+    hi, hi_hi, hi_lo, lo = (np.take(table, i) for table in _POW10_TABLES)
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    whole = a * hi
+    error = ((a_hi * hi_hi - whole) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo
+    return whole, error + a * lo
+
+
+def _format_block(x, line_start, frame, keep):
+    """The ASCII text of the flat float64 values ``x``, each after its separator.
+
+    ``line_start`` is _LINE_START for a value that starts a line, else 0;
+    ``frame`` and ``keep`` are scratch of one _WIDTH-byte row per value.
+    """
+    a = np.abs(x)
+    fast = (a >= _FAST_MIN) & (a < _FAST_MAX)
+    a[~fast] = 1.0
+    k = np.floor(np.log10(a)).astype(np.intp)
+    whole, rest = _scaled(a, k)
+    # log10 can miss by one next to a power of ten: move k until the
+    # unrounded value lies in [10**16, 10**17)
+    floored = whole.astype(np.int64) + np.floor(rest).astype(np.int64)
+    shift = (floored >= 10**17).astype(np.intp) - (floored < 10**16)
+    moved = np.flatnonzero(shift)
+    if moved.size:
+        k[moved] += shift[moved]
+        whole[moved], rest[moved] = _scaled(a[moved], k[moved])
+    floor = np.floor(rest)
+    frac = rest - floor
+    fast &= np.abs(frac - 0.5) >= _TIE_WINDOW
+    D = whole.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5)
+    carry = D == 10**17
+    D[carry] = 10**16
+    exponent = k + carry - _X_MIN  # the decimal exponent, as an index into the tables
+
+    upper = D // 10**8
+    lower = D - upper * 10**8
+    g3 = lower // 10**4
+    g4 = lower - g3 * 10**4
+    g0 = upper // 10**4
+    g2 = upper - g0 * 10**4
+    lead = g0 // 10**4
+    g1 = g0 - lead * 10**4
+
+    # every block writes bytes 8-43, the '.' included: an earlier block's
+    # fallback text may cover bytes 8-31
+    words = frame.view(np.uint32)
+    for column, group in enumerate((g1, g2, g3, g4), start=2):
+        words[:, column] = words[:, column + 5] = np.take(_DIGITS4, group)
+    frame[:, 27] = ord(".")
+    sign = np.signbit(x)
+    words = frame.view(np.uint64)
+    prefix = line_start + 50 * sign + np.take(_PREFIX_OF, exponent) + lead
+    words[:, 0] = np.take(_PREFIX_WORDS, prefix)
+    words[:, 6] = np.take(_EXPONENT_WORDS, exponent)
+
+    zeros = np.take(_TRAILING_ZEROS4, g1)
+    for group in (g2, g3, g4):
+        zeros = np.where(group == 0, zeros + 4, np.take(_TRAILING_ZEROS4, group))
+    key = np.take(_LAYOUT_OF, exponent) - zeros + sign * (_LAYOUTS * _COUNTS)
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = [format_float(v).encode() for v in x[slow].tolist()]
+        sizes = np.array([len(t) for t in texts])
+        key[slow] = _FALLBACK * _COUNTS + sizes
+        frame[slow, 7] = np.where(line_start[slow], ord("\n"), ord(","))
+        starts = slow * _WIDTH + 8 - np.cumsum(sizes) + sizes
+        frame.ravel()[np.repeat(starts, sizes) + np.arange(sizes.sum())] = np.frombuffer(
+            b"".join(texts), np.uint8
+        )
+    # mode="clip": with the default "raise", take buffers ``out``
+    np.take(_KEEP, key, axis=0, out=keep, mode="clip")
+    return frame[keep]
+
+
+# Rows formatted at a time: the scratch arrays stay within a few MB.
+_CSV_BLOCK_ROWS = 1024
 
 
 def write_rows(stream, columns: list[str], rows: np.ndarray) -> None:
-    """Write a ``#schema=1`` header naming ``columns``, then one line per row."""
-    stream.write("#schema=1 " + ",".join(columns) + "\n")
-    # "%.17g" writes every value exactly as format_float does
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
-        block = rows[start : start + _CSV_BLOCK_ROWS].tolist()
-        stream.writelines(line % tuple(row) for row in block)
+    """Write a ``#schema=1`` header naming ``columns``, then one line per row.
+
+    Every value is written as :func:`format_float` writes it, byte for byte.
+    """
+    # each value's text starts with its separator: the header's newline
+    # comes with the first value, and the last line's newline at the end
+    stream.write("#schema=1 " + ",".join(columns))
+    rows = np.asarray(rows, dtype=np.float64)
+    m, n = rows.shape
+    line_start = np.zeros((min(m, _CSV_BLOCK_ROWS), n), np.intp)
+    line_start[:, 0] = _LINE_START
+    line_start = line_start.ravel()
+    frame = np.empty((line_start.size, _WIDTH), np.uint8)
+    keep = np.empty(frame.shape, bool)
+    for start in range(0, m, _CSV_BLOCK_ROWS):
+        x = rows[start : start + _CSV_BLOCK_ROWS].ravel()
+        size = x.size
+        text = _format_block(x, line_start[:size], frame[:size], keep[:size])
+        stream.write(str(text, "ascii"))
+    stream.write("\n")
 
 
 @dataclass(frozen=True)

@@ -142,6 +142,7 @@ class TestRunCommand:
         [
             {"mode": "continuous", "T": 1e15, "dt": 1.0},
             {"mode": "discrete", "tau": 0.01, "M": 10**12},
+            {"mode": "continuous", "T": 1e300, "dt": 1e-300},  # T / dt is infinite
         ],
     )
     def test_oversized_run_exits_2(self, tmp_path, capsys, run):
@@ -152,6 +153,12 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert str(zd.dynamics.MAX_STEPS) in err
+
+    def test_oversized_step_count_is_written_short(self, tmp_path, capsys):
+        cfg_dict = continuous_config(str(tmp_path / "out"))
+        cfg_dict["run"] = {"mode": "continuous", "T": 0.2, "dt": 1e-301}
+        assert main(["run", write(tmp_path, cfg_dict), "--quiet"]) == 2
+        assert "configuration error: 2e+300 steps of 1e-301 exceed" in capsys.readouterr().err
 
     def test_malformed_frequency_list_exits_2(self, tmp_path):
         cfg_dict = continuous_config(str(tmp_path / "out"))
@@ -309,6 +316,30 @@ class TestSweepCommand:
         assert len(calls) == 1
         assert report.metrics["slope"] == pytest.approx(-1.0, abs=0.15)
 
+    @pytest.mark.parametrize(
+        "run, sweep",
+        [
+            # T / tau and, for E, T / (0.1 / E) are infinite
+            ({"mode": "discrete", "tau": 0.01, "T": 1e300}, ("tau", [1e-300, 2e-300, 3e-300])),
+            (
+                {"mode": "embedded", "T": 2.0, "dt": 0.001, "E": 100.0},
+                ("E", [1e307, 1e308, 1.5e308]),
+            ),
+            # T is shorter than one step
+            (
+                {"mode": "embedded", "T": 1e-12, "dt": 0.001, "E": 100.0},
+                ("E", [50.0, 100.0, 200.0]),
+            ),
+        ],
+        ids=["tau", "E", "E-short"],
+    )
+    def test_sweep_step_count_out_of_range_exits_2(self, tmp_path, capsys, run, sweep):
+        cfg_dict = continuous_config(str(tmp_path / "out"))
+        cfg_dict["run"] = run
+        cfg_dict["sweep"] = {"parameter": sweep[0], "values": sweep[1]}
+        assert main(["sweep", write(tmp_path, cfg_dict), "--quiet"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_sweep_without_block_exits_2(self, tmp_path):
         cfg = write(tmp_path, continuous_config(str(tmp_path / "out")))
         assert main(["sweep", cfg, "--quiet"]) == 2
@@ -374,6 +405,25 @@ def test_contradictory_blocks_fail_at_load(tmp_path, capsys, change):
     assert main(["spectrum", write(tmp_path, cfg_dict), "--quiet"]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_non_utf8_scenario_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_bytes(b"\xff\xfe{")
+    assert main(["run", str(cfg), "--quiet"]) == 2
+    assert "configuration error: cannot read configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["../../escape", "a/b", "a\\b", "a\0b", ".", ".."])
+def test_name_must_be_a_plain_file_name(tmp_path, capsys, name):
+    # the name prefixes the output files: it may not reach out of --out
+    out = tmp_path / "x" / "y" / "out"
+    cfg_dict = continuous_config(str(out))
+    cfg_dict["name"] = name
+    config = write(tmp_path, cfg_dict)
+    assert main(["run", config, "--quiet", "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["scenario.json"]
 
 
 def test_oversized_dimension_exits_2(tmp_path, capsys):
