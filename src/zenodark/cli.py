@@ -90,7 +90,7 @@ def _execute_run(scenario: Scenario, tol: ToleranceProfile):
     path, target = scenario.path, scenario.target
 
     if run.mode == "discrete":
-        M = run.M if run.M is not None else step_count(run.T, run.tau)
+        M = run.M if run.M is not None else step_count(run.T, run.tau, scenario.dimension)
         traj = discrete_dark_run(psi0, path, H, run.tau, M, tol=tol)
         metrics = {
             "tau": run.tau,
@@ -153,7 +153,7 @@ def _execute_run(scenario: Scenario, tol: ToleranceProfile):
         return run.mode, metrics, {}, traj
 
     # run.mode == "inverse": load_scenario has checked the path is designed
-    steps = step_count(run.T, run.dt)
+    steps = step_count(run.T, run.dt, scenario.dimension)
     grid = run.dt * np.arange(steps + 1)
     diagnostic = grid[:: max(1, steps // 500)]
     result = design_monitored_state(target, H, diagnostic, tol=tol)
@@ -190,7 +190,7 @@ def _sweep_metric(scenario: Scenario, tol: ToleranceProfile, parameter: str, val
     path = scenario.path
 
     if parameter == "tau":
-        M = step_count(run.T, value)
+        M = step_count(run.T, value, scenario.dimension)
         traj = discrete_dark_run(psi0, path, H, value, M, tol=tol)
         return float(1.0 - traj.survival_probability[-1])
 
@@ -202,7 +202,7 @@ def _sweep_metric(scenario: Scenario, tol: ToleranceProfile, parameter: str, val
     # parameter == "E": deviation from the dark run at a step resolving E;
     # rounding the step count up keeps dt at or below MAX_PHASE_STEP / E
     dt = min(run.dt, MAX_PHASE_STEP / value)
-    dt = run.T / require_step_count(np.ceil(run.T / dt - 1e-9), run.T, dt)
+    dt = run.T / require_step_count(np.ceil(run.T / dt - 1e-9), run.T, dt, scenario.dimension)
     traj = embedded_run(psi0, path, value, run.T, dt, tol=tol)
     reference = _dark_reference_states(psi0, path, H, run.T, dt, tol)
     return float(np.linalg.norm(traj.dark_states - reference, axis=1).max())
@@ -286,10 +286,10 @@ def _finish(scenario: Scenario, command: str, result, out_dir, started: float) -
     )
 
 
-def _run_command(command: str, execute, config_path, out_dir, profile, tol) -> RunReport:
+def _run_command(command: str, execute, config_path, out_dir, profile) -> RunReport:
     # every command's one prologue: load, check its own needs, execute, write
     started = time.perf_counter()
-    tol = tol if tol is not None else PROFILES[profile]
+    tol = PROFILES[profile]
     scenario = load_scenario(config_path, tol=tol)
     run = scenario.run
     if command == "run" and run is None:
@@ -301,44 +301,24 @@ def _run_command(command: str, execute, config_path, out_dir, profile, tol) -> R
     return _finish(scenario, command, execute(scenario, tol), out_dir, started)
 
 
-def run_scenario(
-    config_path,
-    out_dir: str | None = None,
-    profile: str = "default",
-    tol: ToleranceProfile | None = None,
-) -> RunReport:
+def run_scenario(config_path, out_dir: str | None = None, profile: str = "default") -> RunReport:
     """Execute the scenario's run mode and write its artifacts."""
-    return _run_command("run", _execute_run, config_path, out_dir, profile, tol)
+    return _run_command("run", _execute_run, config_path, out_dir, profile)
 
 
-def run_sweep(
-    config_path,
-    out_dir: str | None = None,
-    profile: str = "default",
-    tol: ToleranceProfile | None = None,
-) -> RunReport:
+def run_sweep(config_path, out_dir: str | None = None, profile: str = "default") -> RunReport:
     """Execute the scenario's sweep block and fit the log-log slope."""
-    return _run_command("sweep", _execute_sweep, config_path, out_dir, profile, tol)
+    return _run_command("sweep", _execute_sweep, config_path, out_dir, profile)
 
 
-def run_spectrum(
-    config_path,
-    out_dir: str | None = None,
-    profile: str = "default",
-    tol: ToleranceProfile | None = None,
-) -> RunReport:
+def run_spectrum(config_path, out_dir: str | None = None, profile: str = "default") -> RunReport:
     """Compute the complement spectrum of the scenario's monitored path."""
-    return _run_command("spectrum", _execute_spectrum, config_path, out_dir, profile, tol)
+    return _run_command("spectrum", _execute_spectrum, config_path, out_dir, profile)
 
 
-def run_design(
-    config_path,
-    out_dir: str | None = None,
-    profile: str = "default",
-    tol: ToleranceProfile | None = None,
-) -> RunReport:
+def run_design(config_path, out_dir: str | None = None, profile: str = "default") -> RunReport:
     """Run inverse design for a scenario with a designed path."""
-    return _run_command("design", _execute_run, config_path, out_dir, profile, tol)
+    return _run_command("design", _execute_run, config_path, out_dir, profile)
 
 
 # each subcommand's function and help text

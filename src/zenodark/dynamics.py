@@ -60,33 +60,42 @@ __all__ = [
 
 
 # Longest run accepted: every step stores several complex N-vectors (states,
-# sampled path) and a CSV row, about 3 GB for 10^7 steps at N = 3.
+# sampled path) and a CSV row, about 3 GB for 10^7 steps at N = 3.  The same
+# budget bounds steps x N, so a larger N allows proportionally fewer steps.
 MAX_STEPS = 10_000_000
+MAX_STEP_ROWS = 3 * MAX_STEPS
 
 
-def require_step_count(count: float, T: float, dt: float) -> int:
+def require_step_count(count: float, T: float, dt: float, dim: int) -> int:
     """``count``, a whole number of steps of ``dt`` covering ``T``, as an int.
 
-    Raises :class:`InputError` unless ``count`` is at least 1 and at most
-    :data:`MAX_STEPS`.  The bounds are checked on the float, so an infinite
-    or huge count is reported rather than converted.
+    Raises :class:`InputError` unless ``count`` is at least 1, at most
+    :data:`MAX_STEPS`, and ``count * dim`` at most :data:`MAX_STEP_ROWS`.
+    The bounds are checked on the float, so an infinite or huge count is
+    reported rather than converted.
     """
     if count > MAX_STEPS:
         raise InputError(f"{count:.3g} steps of {dt} exceed the limit of {MAX_STEPS} steps")
+    if count * dim > MAX_STEP_ROWS:
+        raise InputError(
+            f"{count:.3g} steps of {dt} at dimension {dim} exceed the limit of "
+            f"{MAX_STEP_ROWS} steps x dimension"
+        )
     if count < 1:
         raise InputError(f"duration {T} shorter than one step {dt}")
     return int(count)
 
 
-def step_count(T: float, dt: float) -> int:
+def step_count(T: float, dt: float, dim: int) -> int:
     """Number of uniform steps of size ``dt`` covering the duration ``T``.
 
     Raises :class:`InputError` unless ``T`` and ``dt`` are finite and positive
-    and ``T`` spans at least one and at most :data:`MAX_STEPS` steps.
+    and ``T`` spans a step count that :func:`require_step_count` accepts for
+    states of dimension ``dim``.
     """
     if not (0.0 < dt < np.inf and 0.0 < T < np.inf):
         raise InputError("duration and step must be finite and positive")
-    return require_step_count(np.rint(T / dt), T, dt)
+    return require_step_count(np.rint(T / dt), T, dt, dim)
 
 
 def require_orthogonal(f, psi0, tol: ToleranceProfile = DEFAULT, drift: float = 0.0) -> None:
@@ -145,8 +154,7 @@ def discrete_dark_run(
     H = require_hermitian(H, tol, name="hamiltonian")
     if not 0.0 < tau < np.inf:
         raise InputError("measurement interval must be finite and positive")
-    if not 1 <= M <= MAX_STEPS:
-        raise InputError(f"need between 1 and {MAX_STEPS} measurements, got {M}")
+    M = require_step_count(M, M * tau, tau, psi0.size)
 
     times = tau * np.arange(M + 1)
     f_seq, fdot_seq = path.evaluate_many(times[1:])
@@ -211,7 +219,7 @@ def continuous_dark_run(
     """
     psi0 = require_unit(psi0, tol, name="initial state")
     H = require_hermitian(H, tol, name="hamiltonian")
-    steps = step_count(T, dt)
+    steps = step_count(T, dt, psi0.size)
 
     times = dt * np.arange(steps + 1)
     midpoints = dt * (np.arange(steps) + 0.5)
@@ -412,7 +420,7 @@ def closed_form_run(
     with ``H``.
     """
     gen = generator_path_of(path)
-    times = dt * np.arange(step_count(T, dt) + 1)
+    times = dt * np.arange(step_count(T, dt, np.size(psi0)) + 1)
     states = _closed_form_states(psi0, H, gen.generator, gen.initial_state, times, tol)
 
     f_grid, _ = path.evaluate_many(times)

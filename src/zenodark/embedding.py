@@ -59,7 +59,7 @@ def embedded_run(
     psi0 = require_unit(psi0, tol, name="initial state")
     if energy < 0.0:
         raise InputError("energy shift must be nonnegative")
-    steps = step_count(T, dt)
+    steps = step_count(T, dt, psi0.size)
     if energy > 0.0 and dt > MAX_PHASE_STEP / energy * (1.0 + 1e-9):
         raise ResolutionError(
             f"dt = {dt:g} too coarse for energy {energy:g}: need dt <= "

@@ -3,21 +3,22 @@
 Complex numbers are written as ``[re, im]`` pairs (plain numbers are read as
 real); matrices are row-major nested lists.  Every number must be finite:
 ``NaN`` and ``Infinity``, which Python's JSON reader accepts, are schema
-violations.  Top-level keys::
+violations.  Keywords (``run.mode``, ``sweep.parameter``, ``path.type``,
+``"zero"`` and the ``output.formats`` entries) must be strings.  Top-level
+keys::
 
     {
       "name":          optional string (defaults to the file stem) that
-                       prefixes the output files: one plain file name, without
-                       '/', '\\' or NUL, and not "." or "..",
+                       prefixes the output files: one plain UTF-8 file name,
+                       without '/', '\\' or NUL, and not "." or "..",
       "description":   optional string, ignored,
-      "dimension":     2 <= N <= MAX_DIMENSION,
+      "dimension":     integer, 2 <= N <= MAX_DIMENSION,
       "initial_state": complex vector, normalized at parse time
                        (optional for mode "inverse"),
       "hamiltonian":   "zero" or an N x N Hermitian matrix,
       "path":          {"type": "generator" | "modes" | "samples" | "designed", ...},
       "run":           {"mode": "discrete" | "continuous" | "closed_form"
-                                | "embedded" | "inverse",
-                        "T": ..., "dt": ..., "tau": ..., "M": ..., "E": ...},
+                                | "embedded" | "inverse", ...},
       "sweep":         optional {"parameter": "tau" | "dt" | "E",
                        "values": [three or more distinct positive numbers]},
       "output":        optional {"directory": "out", "formats": ["csv", "json"]}
@@ -34,6 +35,18 @@ Path blocks:
 * ``designed``: ``"probabilities"`` and ``"frequencies"`` of a mode target;
   the monitored state is constructed by inverse design (``mode_design``)
   once, at load, and the scenario keeps the target as ``Scenario.target``.
+
+Run modes (``T``, ``dt``, ``tau`` and ``E`` positive numbers, ``M`` a
+positive integer):
+
+* ``discrete``: ``"tau"`` and ``"M"`` or ``"T"`` (``M`` wins if both).
+* ``continuous``, ``closed_form``, ``inverse``: ``"T"`` and ``"dt"``.
+* ``embedded``: ``"T"``, ``"dt"`` and ``"E"``.
+
+Every block, each path type and each run mode rejects keys it does not
+read.  Step counts are checked by the run itself: at most
+``dynamics.MAX_STEPS`` steps, and steps x N at most
+``dynamics.MAX_STEP_ROWS``.
 
 Rules across blocks, checked here so that every command rejects a file
 whose blocks contradict each other: ``initial_state`` is required unless
@@ -52,6 +65,7 @@ after every schema check.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,7 +92,21 @@ _TOP_KEYS = {
     "sweep",
     "output",
 }
-_MODES = {"discrete", "continuous", "closed_form", "embedded", "inverse"}
+# path type or run mode -> (required keys, a tuple asking for any one of its
+# keys; allowed keys besides "type" or "mode")
+_PATH_KEYS = {
+    "generator": (("generator", "initial_state"), {"generator", "initial_state"}),
+    "modes": (("amplitudes", "frequencies"), {"amplitudes", "frequencies", "modes"}),
+    "samples": (("times", "samples"), {"times", "samples"}),
+    "designed": (("probabilities", "frequencies"), {"probabilities", "frequencies"}),
+}
+_RUN_KEYS = {
+    "discrete": (("tau", ("M", "T")), {"tau", "M", "T"}),
+    "continuous": (("T", "dt"), {"T", "dt"}),
+    "closed_form": (("T", "dt"), {"T", "dt"}),
+    "embedded": (("T", "dt", "E"), {"T", "dt", "E"}),
+    "inverse": (("T", "dt"), {"T", "dt"}),
+}
 # the run mode whose step each sweep parameter varies
 _SWEEP_MODES = {"tau": "discrete", "dt": "continuous", "E": "embedded"}
 _FORMATS = {"csv", "json"}
@@ -86,6 +114,45 @@ _FORMATS = {"csv", "json"}
 # Largest dimension accepted: the Hamiltonian and every step's propagator are
 # dense N x N complex matrices, 16 MiB each at N = 1024.
 MAX_DIMENSION = 1024
+
+
+def _object(value, where: str, allowed, required=()) -> dict:
+    # a JSON object with only `allowed` keys and every `required` one
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object")
+    unknown = value.keys() - allowed
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    for keys in required:
+        keys = (keys,) if isinstance(keys, str) else keys
+        if value.keys().isdisjoint(keys):
+            raise ConfigError(f"{where}: missing required key {' or '.join(map(repr, keys))}")
+    return value
+
+
+def _choice(value, allowed, where: str) -> str:
+    if not isinstance(value, str) or value not in allowed:
+        raise ConfigError(f"{where}: expected one of {sorted(allowed)}, got {value!r}")
+    return value
+
+
+def _variant(block, where: str, key: str, table: dict) -> tuple[str, dict]:
+    # the block's keyword at `key`, and the block checked against its entry
+    any_keys = {key}.union(*(allowed for _, allowed in table.values()))
+    kind = _choice(_object(block, where, any_keys, (key,))[key], table, f"{where}.{key}")
+    required, allowed = table[kind]
+    return kind, _object(block, f"{where} ({key} {kind!r})", allowed | {key}, required)
+
+
+def _path_text(value, where: str) -> str:
+    # a string that can be part of a file path and be printed: UTF-8, no NUL
+    try:
+        if isinstance(value, str) and value and "\0" not in value:
+            value.encode()  # raises on a lone surrogate, from a "\ud800" escape
+            return value
+    except UnicodeEncodeError:
+        pass
+    raise ConfigError(f"{where}: expected a non-empty UTF-8 string without NUL")
 
 
 def _is_finite_number(value) -> bool:
@@ -114,28 +181,30 @@ def _complex_vector(value, where: str, length: int | None = None) -> np.ndarray:
     return vec
 
 
-def _complex_matrix(value, where: str, dim: int) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != dim:
-        raise ConfigError(f"{where}: expected {dim} rows")
+def _complex_rows(value, where: str, count: int, dim: int) -> np.ndarray:
+    # `count` complex vectors of length `dim`, as the rows of a matrix
+    if not isinstance(value, list) or len(value) != count:
+        raise ConfigError(f"{where}: expected {count} rows")
     rows = [_complex_vector(row, f"{where}[{i}]", dim) for i, row in enumerate(value)]
     return np.vstack(rows)
 
 
 def _real_vector(value, where: str) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{where}: expected a non-empty list")
-    out = []
-    for x in value:
-        if not _is_finite_number(x):
-            raise ConfigError(f"{where}: expected finite real numbers, got {x!r}")
-        out.append(float(x))
-    return np.asarray(out)
+    if not isinstance(value, list) or not value or not all(map(_is_finite_number, value)):
+        raise ConfigError(f"{where}: expected a non-empty list of finite real numbers")
+    return np.array(value, dtype=float)
 
 
 def _positive_number(value, where: str) -> float:
     if not _is_finite_number(value) or value <= 0:
         raise ConfigError(f"{where}: expected a finite positive number, got {value!r}")
     return float(value)
+
+
+def _integer(value, where: str, low: int, high: float = math.inf) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+        raise ConfigError(f"{where}: expected an integer from {low} to {high}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -177,131 +246,69 @@ def _parse_path(
     block, dim: int, tol: ToleranceProfile
 ) -> tuple[MonitoredPath, ModeTrajectory | None]:
     # the monitored path and, for a designed path, its target
-    if not isinstance(block, dict) or "type" not in block:
-        raise ConfigError("path: expected an object with a 'type' key")
-    kind = block["type"]
-    try:
-        if kind == "generator":
-            K = _complex_matrix(block["generator"], "path.generator", dim)
-            f0 = _complex_vector(block["initial_state"], "path.initial_state", dim)
-            return GeneratorPath(K, f0, tol=tol), None
-        if kind == "modes":
-            amps = _complex_vector(block["amplitudes"], "path.amplitudes")
-            freqs = _real_vector(block["frequencies"], "path.frequencies")
-            if amps.size != freqs.size:
-                raise ConfigError("path: amplitudes and frequencies lengths differ")
-            modes = None
-            if "modes" in block:
-                vectors = block["modes"]
-                if not isinstance(vectors, list) or len(vectors) != amps.size:
-                    raise ConfigError("path.modes: expected one vector per amplitude")
-                cols = [
-                    _complex_vector(v, f"path.modes[{j}]", dim)
-                    for j, v in enumerate(vectors)
-                ]
-                modes = np.column_stack(cols)
-            elif amps.size != dim:
-                raise ConfigError(
-                    "path: without explicit modes the number of amplitudes must "
-                    "equal the dimension"
-                )
-            return ModePath(amps, freqs, modes, tol=tol), None
-        if kind == "samples":
-            times = _real_vector(block["times"], "path.times")
-            samples = block["samples"]
-            if not isinstance(samples, list) or len(samples) != times.size:
-                raise ConfigError("path.samples: expected one sample per time")
-            rows = [
-                _complex_vector(s, f"path.samples[{i}]", dim)
-                for i, s in enumerate(samples)
-            ]
-            return SampledPath(times, np.vstack(rows), tol=tol), None
-        if kind == "designed":
-            probabilities = _real_vector(block["probabilities"], "path.probabilities")
-            frequencies = _real_vector(block["frequencies"], "path.frequencies")
-            if probabilities.size != dim or frequencies.size != dim:
-                raise ConfigError(
-                    "path: probabilities and frequencies must have one entry per "
-                    "dimension"
-                )
-            target, designed = mode_design(probabilities, frequencies, tol=tol)
-            return designed, target
-    except KeyError as exc:
-        raise ConfigError(f"path: missing key {exc.args[0]!r} for type {kind!r}") from exc
-    raise ConfigError(f"path: unknown type {kind!r}")
+    kind, block = _variant(block, "path", "type", _PATH_KEYS)
+    if kind == "generator":
+        K = _complex_rows(block["generator"], "path.generator", dim, dim)
+        f0 = _complex_vector(block["initial_state"], "path.initial_state", dim)
+        return GeneratorPath(K, f0, tol=tol), None
+    if kind == "modes":
+        amps = _complex_vector(block["amplitudes"], "path.amplitudes")
+        freqs = _real_vector(block["frequencies"], "path.frequencies")
+        modes = None
+        if "modes" in block:  # one mode vector per amplitude, as columns
+            modes = _complex_rows(block["modes"], "path.modes", amps.size, dim)
+            modes = np.ascontiguousarray(modes.T)
+        elif amps.size != dim:
+            raise ConfigError(
+                "path: without explicit modes the number of amplitudes must "
+                "equal the dimension"
+            )
+        return ModePath(amps, freqs, modes, tol=tol), None
+    if kind == "samples":
+        times = _real_vector(block["times"], "path.times")
+        samples = _complex_rows(block["samples"], "path.samples", times.size, dim)
+        return SampledPath(times, samples, tol=tol), None
+    # kind == "designed"
+    probabilities = _real_vector(block["probabilities"], "path.probabilities")
+    frequencies = _real_vector(block["frequencies"], "path.frequencies")
+    if probabilities.size != dim or frequencies.size != dim:
+        raise ConfigError(
+            "path: probabilities and frequencies must have one entry per dimension"
+        )
+    target, designed = mode_design(probabilities, frequencies, tol=tol)
+    return designed, target
 
 
 def _parse_run(block) -> RunSettings:
-    if not isinstance(block, dict):
-        raise ConfigError("run: expected an object")
-    if "mode" not in block or block["mode"] not in _MODES:
-        raise ConfigError(f"run.mode: expected one of {sorted(_MODES)}")
-    mode = block["mode"]
-    unknown = set(block) - {"mode", "T", "dt", "tau", "M", "E"}
-    if unknown:
-        raise ConfigError(f"run: unknown keys {sorted(unknown)}")
-
-    T = _positive_number(block["T"], "run.T") if "T" in block else None
-    dt = _positive_number(block["dt"], "run.dt") if "dt" in block else None
-    tau = _positive_number(block["tau"], "run.tau") if "tau" in block else None
-    E = _positive_number(block["E"], "run.E") if "E" in block else None
-    M = None
-    if "M" in block:
-        if isinstance(block["M"], bool) or not isinstance(block["M"], int) or block["M"] < 1:
-            raise ConfigError("run.M: expected a positive integer")
-        M = block["M"]
-
-    if mode == "discrete":
-        if tau is None or (M is None and T is None):
-            raise ConfigError("run: discrete mode needs tau and M (or T)")
-    elif mode in ("continuous", "closed_form", "inverse"):
-        if T is None or dt is None:
-            raise ConfigError(f"run: {mode} mode needs T and dt")
-    elif mode == "embedded":
-        if T is None or dt is None or E is None:
-            raise ConfigError("run: embedded mode needs T, dt and E")
-    return RunSettings(mode=mode, T=T, dt=dt, tau=tau, M=M, E=E)
+    mode, block = _variant(block, "run", "mode", _RUN_KEYS)
+    values = {
+        key: _integer(value, "run.M", 1) if key == "M" else _positive_number(value, f"run.{key}")
+        for key, value in block.items()
+        if key != "mode"
+    }
+    return RunSettings(mode=mode, **values)
 
 
 def _parse_sweep(block) -> SweepSettings:
-    if not isinstance(block, dict):
-        raise ConfigError("sweep: expected an object")
-    unknown = set(block) - {"parameter", "values"}
-    if unknown:
-        raise ConfigError(f"sweep: unknown keys {sorted(unknown)}")
-    parameter = block.get("parameter")
-    if parameter not in _SWEEP_MODES:
-        raise ConfigError(f"sweep.parameter: expected one of {sorted(_SWEEP_MODES)}")
-    raw = block.get("values")
+    block = _object(block, "sweep", {"parameter", "values"}, ("parameter", "values"))
+    parameter = _choice(block["parameter"], _SWEEP_MODES, "sweep.parameter")
+    raw = block["values"]
     if not isinstance(raw, list):
         raise ConfigError("sweep.values: expected a list")
     values = tuple(_positive_number(v, "sweep.values") for v in raw)
-    if len(values) < 3:
-        raise ConfigError("sweep.values: need at least 3 values")
     if len(set(values)) < 3:
         raise ConfigError("sweep.values: need at least 3 distinct values")
     return SweepSettings(parameter=parameter, values=values)
 
 
 def _parse_output(block) -> OutputSettings:
-    if block is None:
-        return OutputSettings()
-    if not isinstance(block, dict):
-        raise ConfigError("output: expected an object")
-    unknown = set(block) - {"directory", "formats"}
-    if unknown:
-        raise ConfigError(f"output: unknown keys {sorted(unknown)}")
-    directory = block.get("directory", "out")
-    if not isinstance(directory, str) or not directory:
-        raise ConfigError("output.directory: expected a non-empty string")
+    block = _object(block, "output", {"directory", "formats"})
+    directory = _path_text(block.get("directory", "out"), "output.directory")
     formats = block.get("formats", ["csv", "json"])
-    if (
-        not isinstance(formats, list)
-        or not formats
-        or any(f not in _FORMATS for f in formats)
-    ):
+    if not isinstance(formats, list) or not formats:
         raise ConfigError(f"output.formats: expected a non-empty subset of {sorted(_FORMATS)}")
-    return OutputSettings(directory=directory, formats=tuple(formats))
+    formats = tuple(_choice(f, _FORMATS, "output.formats") for f in formats)
+    return OutputSettings(directory=directory, formats=formats)
 
 
 def load_scenario(config_path, tol: ToleranceProfile = DEFAULT) -> Scenario:
@@ -318,30 +325,19 @@ def load_scenario(config_path, tol: ToleranceProfile = DEFAULT) -> Scenario:
         raw = json.loads(path.read_text())
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read configuration {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers of over 4300 digits,
+        # RecursionError arrays nested too deeply for the parser
         raise ConfigError(f"configuration {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration root must be an object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
-
-    if "dimension" not in raw:
-        raise ConfigError("missing required key 'dimension'")
-    dim = raw["dimension"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or not 2 <= dim <= MAX_DIMENSION:
-        raise ConfigError(f"dimension: expected an integer from 2 to {MAX_DIMENSION}")
-
-    if "path" not in raw:
-        raise ConfigError("missing required key 'path'")
+    _object(raw, "configuration", _TOP_KEYS, ("dimension", "path"))
+    dim = _integer(raw["dimension"], "dimension", 2, MAX_DIMENSION)
 
     hamiltonian = raw.get("hamiltonian", "zero")
     if isinstance(hamiltonian, str):
-        if hamiltonian != "zero":
-            raise ConfigError(f"hamiltonian: unknown keyword {hamiltonian!r}")
+        _choice(hamiltonian, {"zero"}, "hamiltonian")
         H = np.zeros((dim, dim), dtype=np.complex128)
     else:
-        H = _complex_matrix(hamiltonian, "hamiltonian", dim)
+        H = _complex_rows(hamiltonian, "hamiltonian", dim, dim)
 
     run = _parse_run(raw["run"]) if "run" in raw else None
     mode = run.mode if run is not None else None
@@ -354,7 +350,7 @@ def load_scenario(config_path, tol: ToleranceProfile = DEFAULT) -> Scenario:
             raise ConfigError("initial_state: must be nonzero")
         initial = initial / nrm
     elif mode != "inverse":
-        raise ConfigError("missing required key 'initial_state'")
+        raise ConfigError("configuration: missing required key 'initial_state'")
 
     sweep = _parse_sweep(raw["sweep"]) if "sweep" in raw else None
     if sweep is not None:
@@ -365,13 +361,11 @@ def load_scenario(config_path, tol: ToleranceProfile = DEFAULT) -> Scenario:
             raise ConfigError("sweep over 'tau' needs run.T")
     if mode == "embedded" and np.any(H):
         raise ConfigError('embedded mode is a pure energy shift: set hamiltonian to "zero"')
-    output = _parse_output(raw.get("output"))
+    output = _parse_output(raw.get("output", {}))
 
     # the name prefixes the output files, so it must be one plain file name
-    name = raw.get("name", path.stem)
-    if not isinstance(name, str) or not name:
-        raise ConfigError("name: expected a non-empty string")
-    if name in (".", "..") or any(c in name for c in "/\\\0"):
+    name = _path_text(raw.get("name", path.stem), "name")
+    if name in (".", "..") or any(c in name for c in "/\\"):
         raise ConfigError(f"name: {name!r} is not a plain file name")
 
     # last, so that a designed path's physics errors follow every schema check

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +15,7 @@ from zenodark.cli import main, run_scenario, run_sweep
 S3 = 3**-0.5
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write(tmp_path, payload, name="scenario.json"):
@@ -407,6 +412,79 @@ def test_contradictory_blocks_fail_at_load(tmp_path, capsys, change):
     assert not (tmp_path / "out").exists()
 
 
+# a keyword that is not a string, or a key the block does not read, is a
+# schema error under every command, before anything is written
+GENERATOR = spectrum_config("out")["path"]
+DESIGNED = {"type": "designed", "probabilities": [0.5, 0.25, 0.25], "frequencies": [0, 2, -2]}
+MALFORMED = {
+    "run-mode-list": {"run": {"mode": [1.0], "T": 1.0, "dt": 0.001}},
+    "run-mode-object": {"run": {"mode": {}, "T": 1.0, "dt": 0.001}},
+    "sweep-parameter-list": {
+        "run": {"mode": "discrete", "tau": 0.01, "T": 1.0},
+        "sweep": {"parameter": ["tau"], "values": [0.01, 0.005, 0.0025]},
+    },
+    "formats-entry-list": {"output": {"formats": [["csv"]]}},
+    "generator-stray-key": {"path": {**GENERATOR, "frequencies": [0, 1, 2]}},
+    "modes-stray-key": {
+        "path": {"type": "modes", "amplitudes": [S3, S3, S3], "frequencies": [0, 1, 2], "tau": 1}
+    },
+    "samples-stray-key": {
+        "path": {
+            "type": "samples",
+            "times": [0.0, 0.5, 1.0, 1.5, 2.0],
+            "samples": [[S3, S3, S3]] * 5,
+            "initial_state": [S3, S3, S3],
+        },
+        "run": {"mode": "continuous", "T": 1.0, "dt": 0.001},
+    },
+    "designed-stray-key": {
+        "path": {**DESIGNED, "amplitudes": [S3, S3, S3]},
+        "run": {"mode": "inverse", "T": 1.0, "dt": 0.001},
+    },
+    "E-in-continuous-run": {"run": {"mode": "continuous", "T": 1.0, "dt": 0.001, "E": 100.0}},
+    "dt-in-discrete-run": {"run": {"mode": "discrete", "tau": 0.01, "T": 1.0, "dt": 0.001}},
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "spectrum", "design"])
+@pytest.mark.parametrize("change", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_blocks_exit_2(tmp_path, capsys, change, command):
+    out = tmp_path / "out"
+    config = write(tmp_path, {**spectrum_config(str(out)), **change})
+    assert main([command, config, "--quiet", "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_steps_times_dimension_limit_exits_2(tmp_path):
+    # 10^7 steps are within MAX_STEPS, but not at N = 64, where the run's
+    # arrays would take about 10 GB each.  A subprocess with 3 GB of address
+    # space turns a missing check into a failure instead of an exhausted host.
+    n = 64
+    cfg_dict = {
+        "dimension": n,
+        "initial_state": [0, 1] + [0] * (n - 2),
+        "path": {"type": "modes", "amplitudes": [1] + [0] * (n - 1), "frequencies": [0] * n},
+        "run": {"mode": "continuous", "T": 10.0, "dt": 1e-6},
+    }
+    config = write(tmp_path, cfg_dict)
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "zenodark.cli", "run", config, "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=limit_memory,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"limit of {zd.dynamics.MAX_STEP_ROWS} steps x dimension" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_utf8_scenario_exits_2(tmp_path, capsys):
     cfg = tmp_path / "scenario.json"
     cfg.write_bytes(b"\xff\xfe{")
@@ -414,7 +492,7 @@ def test_non_utf8_scenario_exits_2(tmp_path, capsys):
     assert "configuration error: cannot read configuration" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["../../escape", "a/b", "a\\b", "a\0b", ".", ".."])
+@pytest.mark.parametrize("name", ["../../escape", "a/b", "a\\b", "a\0b", ".", "..", "\ud800"])
 def test_name_must_be_a_plain_file_name(tmp_path, capsys, name):
     # the name prefixes the output files: it may not reach out of --out
     out = tmp_path / "x" / "y" / "out"

@@ -55,6 +55,22 @@ class TestDiscreteStep:
             assert np.linalg.norm(out) <= 1.0 + 1e-12
 
 
+class TestStepCount:
+    def test_steps_times_dimension_bounded(self):
+        # one memory budget: MAX_STEPS steps at N = 3, fewer at larger N
+        rows, most = zd.dynamics.MAX_STEP_ROWS, zd.dynamics.MAX_STEPS
+        require = zd.dynamics.require_step_count
+        assert rows == 3 * most
+        assert require(float(most), 10.0, 1e-6, 3) == most
+        assert require(float(rows // 64), 10.0, 1e-6, 64) == rows // 64
+        for count, dim in [(rows // 64 + 1, 64), (most, 4), (most // 100, 1024)]:
+            with pytest.raises(InputError, match=f"limit of {rows} steps x dimension"):
+                require(float(count), 10.0, 1e-6, dim)
+        with pytest.raises(InputError, match="dimension 64"):
+            zd.dynamics.step_count(10.0, 1e-6, 64)
+        assert zd.dynamics.step_count(10.0, 1e-6, 3) == most
+
+
 class TestDiscreteRun:
     def test_stationary_zeno_subspace(self):
         # constant monitored state, hamiltonian confined to the complement

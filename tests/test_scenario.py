@@ -190,3 +190,58 @@ def test_output_block_validation(tmp_path):
     cfg["output"] = {"formats": ["yaml"]}
     with pytest.raises(ConfigError):
         load_scenario(write_config(tmp_path, cfg))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"dimension": ' + "1" * 5000 + "}", "[" * 100_000],
+    ids=["integer-of-5000-digits", "nested-too-deeply"],
+)
+def test_json_the_parser_refuses_rejected(tmp_path, text):
+    # json.loads raises ValueError and RecursionError here, not JSONDecodeError
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("directory", ["a\0b", "\ud800"], ids=["NUL", "lone-surrogate"])
+def test_output_directory_must_be_a_path(tmp_path, directory):
+    # mkdir would raise ValueError or UnicodeEncodeError
+    cfg = base_config()
+    cfg["output"] = {"directory": directory}
+    with pytest.raises(ConfigError, match="output.directory"):
+        load_scenario(write_config(tmp_path, cfg))
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        ({"T": 1.0, "dt": 0.001}, "run: missing required key 'mode'"),
+        (
+            {"mode": "discrete", "tau": 0.01},
+            "run \\(mode 'discrete'\\): missing required key 'M' or 'T'",
+        ),
+        ({"mode": "embedded", "T": 1.0, "dt": 0.001}, "missing required key 'E'"),
+        ({"mode": "continuous", "T": 1.0, "dt": 0.001, "M": 10}, "unknown keys \\['M'\\]"),
+        ({"mode": "discrete", "tau": 0.01, "M": 2.0}, "run.M: expected an integer"),
+        ({"mode": "discrete", "tau": 0.01, "M": True}, "run.M: expected an integer"),
+        ({"mode": "warp", "T": 1.0}, "run.mode: expected one of"),
+    ],
+    ids=[
+        "no-mode", "discrete-without-M-or-T", "embedded-without-E", "M-in-continuous",
+        "float-M", "bool-M", "unknown-mode",
+    ],
+)
+def test_run_table(tmp_path, run, message):
+    cfg = base_config()
+    cfg["run"] = run
+    with pytest.raises(ConfigError, match=message):
+        load_scenario(write_config(tmp_path, cfg))
+
+
+def test_discrete_run_keeps_both_M_and_T(tmp_path):
+    cfg = base_config()
+    cfg["run"] = {"mode": "discrete", "tau": 0.01, "M": 50, "T": 1.0}
+    run = load_scenario(write_config(tmp_path, cfg)).run
+    assert (run.tau, run.M, run.T, run.dt, run.E) == (0.01, 50, 1.0, None, None)
