@@ -14,8 +14,10 @@ metrics, extra, trajectory)``.  Every other rule about a file's contents is
 :func:`~zenodark.scenario.load_scenario`'s, so a file whose blocks
 contradict each other fails under every command.
 
-Sweep points run one after another in the calling thread, in the order the
-scenario lists them.
+Sweep points run one after another in the calling thread and are reported in
+the order the scenario lists them.  An ``E`` sweep integrates one dark
+reference per distinct refined step: points whose refined step is the same
+read their rows from one reference run.
 """
 
 from __future__ import annotations
@@ -76,10 +78,30 @@ def _json_default(value):
 _REFERENCE_DT = 1.25e-4
 
 
-def _dark_reference_states(psi0, path, H, T, dt, tol) -> np.ndarray:
-    refine = max(1, int(np.ceil(dt / _REFERENCE_DT - 1e-12)))
-    reference = continuous_dark_run(psi0, path, H, T, dt / refine, tol=tol)
-    return reference.states[::refine]
+def _dark_deviations(scenario: Scenario, tol: ToleranceProfile, points):
+    """Embedded run at each ``(E, dt)`` point and its deviation from the dark run.
+
+    A point's reference is the dark run at ``dt`` refined to a step at or
+    below ``_REFERENCE_DT``, read at every ``refine``-th row.  Points with the
+    same refined step share one reference run, integrated once and released
+    before the next step's.  Yields ``(index, trajectory, deviation)`` grouped
+    by refined step.
+    """
+    run = scenario.run
+    psi0, path, H = scenario.initial_state, scenario.path, scenario.hamiltonian
+    groups: dict[float, list[tuple[int, int]]] = {}  # step -> (index, refine)
+    for i, (_, dt) in enumerate(points):
+        refine = max(1, int(np.ceil(dt / _REFERENCE_DT - 1e-12)))
+        groups.setdefault(dt / refine, []).append((i, refine))
+    for step, members in groups.items():
+        reference = None  # drops the previous step's reference before this one's
+        for i, refine in members:
+            energy, dt = points[i]
+            traj = embedded_run(psi0, path, energy, run.T, dt, tol=tol)
+            if reference is None:
+                reference = continuous_dark_run(psi0, path, H, run.T, step, tol=tol).states
+            gap = np.linalg.norm(traj.dark_states - reference[::refine], axis=1)
+            yield i, traj, float(gap.max())
 
 
 def _execute_run(scenario: Scenario, tol: ToleranceProfile):
@@ -140,9 +162,7 @@ def _execute_run(scenario: Scenario, tol: ToleranceProfile):
         return run.mode, metrics, {}, traj
 
     if run.mode == "embedded":
-        traj = embedded_run(psi0, path, run.E, run.T, run.dt, tol=tol)
-        reference = _dark_reference_states(psi0, path, H, run.T, run.dt, tol)
-        deviation = float(np.linalg.norm(traj.dark_states - reference, axis=1).max())
+        [(_, traj, deviation)] = _dark_deviations(scenario, tol, [(run.E, run.dt)])
         metrics = {
             "E": run.E,
             "dt": run.dt,
@@ -194,25 +214,31 @@ def _sweep_metric(scenario: Scenario, tol: ToleranceProfile, parameter: str, val
         traj = discrete_dark_run(psi0, path, H, value, M, tol=tol)
         return float(1.0 - traj.survival_probability[-1])
 
-    if parameter == "dt":
-        traj = continuous_dark_run(psi0, path, H, run.T, value, tol=tol)
-        reference = closed_form_run(psi0, path, H, run.T, value, tol=tol)
-        return float(np.linalg.norm(traj.states - reference.states, axis=1).max())
+    # parameter == "dt"
+    traj = continuous_dark_run(psi0, path, H, run.T, value, tol=tol)
+    reference = closed_form_run(psi0, path, H, run.T, value, tol=tol)
+    return float(np.linalg.norm(traj.states - reference.states, axis=1).max())
 
-    # parameter == "E": deviation from the dark run at a step resolving E;
-    # rounding the step count up keeps dt at or below MAX_PHASE_STEP / E
-    dt = min(run.dt, MAX_PHASE_STEP / value)
-    dt = run.T / require_step_count(np.ceil(run.T / dt - 1e-9), run.T, dt, scenario.dimension)
-    traj = embedded_run(psi0, path, value, run.T, dt, tol=tol)
-    reference = _dark_reference_states(psi0, path, H, run.T, dt, tol)
-    return float(np.linalg.norm(traj.dark_states - reference, axis=1).max())
+
+def _resolving_step(scenario: Scenario, energy: float) -> float:
+    # the run's step, shrunk to resolve E; rounding the step count up keeps it
+    # at or below MAX_PHASE_STEP / E
+    run = scenario.run
+    dt = min(run.dt, MAX_PHASE_STEP / energy)
+    return run.T / require_step_count(np.ceil(run.T / dt - 1e-9), run.T, dt, scenario.dimension)
 
 
 def _execute_sweep(scenario: Scenario, tol: ToleranceProfile):
     """Run every sweep point and fit the log-log slope of metric against value."""
     sweep = scenario.sweep
     values = list(sweep.values)
-    metrics = [_sweep_metric(scenario, tol, sweep.parameter, v) for v in values]
+    if sweep.parameter == "E":
+        # deviation from the dark run at a step resolving each E
+        points = [(E, _resolving_step(scenario, E)) for E in values]
+        deviations = {i: d for i, _, d in _dark_deviations(scenario, tol, points)}
+        metrics = [deviations[i] for i in range(len(values))]
+    else:
+        metrics = [_sweep_metric(scenario, tol, sweep.parameter, v) for v in values]
 
     safe = np.clip(np.asarray(metrics, dtype=float), 1e-300, None)
     slope = float(np.polyfit(np.log(np.asarray(values)), np.log(safe), 1)[0])

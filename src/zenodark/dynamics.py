@@ -74,6 +74,8 @@ def require_step_count(count: float, T: float, dt: float, dim: int) -> int:
     The bounds are checked on the float, so an infinite or huge count is
     reported rather than converted.
     """
+    if count > 1e308:  # an int too large for a float is reported as inf
+        count = np.inf
     if count > MAX_STEPS:
         raise InputError(f"{count:.3g} steps of {dt} exceed the limit of {MAX_STEPS} steps")
     if count * dim > MAX_STEP_ROWS:

@@ -44,9 +44,12 @@ positive integer):
 * ``embedded``: ``"T"``, ``"dt"`` and ``"E"``.
 
 Every block, each path type and each run mode rejects keys it does not
-read.  Step counts are checked by the run itself: at most
-``dynamics.MAX_STEPS`` steps, and steps x N at most
-``dynamics.MAX_STEP_ROWS``.
+read.  Step counts are at most ``dynamics.MAX_STEPS``, and steps x N at most
+``dynamics.MAX_STEP_ROWS``: the run block's are checked here, each sweep
+point's by its run.  A run block's phase is bounded too: its fastest phase
+rate (the absolute row sums of H and K, or a path's largest |frequency|)
+times its duration (``T``, or ``tau * M`` for a discrete run) may not exceed
+``MAX_PHASE`` = 1e6 rad.
 
 Rules across blocks, checked here so that every command rejects a file
 whose blocks contradict each other: ``initial_state`` is required unless
@@ -73,6 +76,7 @@ from pathlib import Path
 import numpy as np
 
 from .design import ModeTrajectory, mode_design
+from .dynamics import require_step_count, step_count
 from .errors import ConfigError
 from .paths import GeneratorPath, ModePath, MonitoredPath, SampledPath
 from .tolerances import DEFAULT, ToleranceProfile
@@ -114,6 +118,14 @@ _FORMATS = {"csv", "json"}
 # Largest dimension accepted: the Hamiltonian and every step's propagator are
 # dense N x N complex matrices, 16 MiB each at N = 1024.
 MAX_DIMENSION = 1024
+
+# Largest phase, in radians, a run block may accumulate: a bound on its
+# fastest phase rate (|H| + |K|, or a path's largest |frequency|) times its
+# duration.  A phase phi computed in floating point is off by about eps * phi,
+# 2.2e-10 at 1e6 rad: two orders below the 1e-8 checks of a run (setup
+# orthogonality, period return), where 1e8 rad would reach them.  Committed
+# scenarios reach at most 20 rad; near 1e308 the phases overflow to NaN.
+MAX_PHASE = 1e6
 
 
 def _object(value, where: str, allowed, required=()) -> dict:
@@ -242,15 +254,15 @@ class Scenario:
     target: ModeTrajectory | None
 
 
-def _parse_path(
-    block, dim: int, tol: ToleranceProfile
-) -> tuple[MonitoredPath, ModeTrajectory | None]:
-    # the monitored path and, for a designed path, its target
+def _read_path(block, dim: int, tol: ToleranceProfile):
+    # the path block's numbers, checked: a bound on the path's largest phase
+    # rate (0 for samples, whose rate is their own spacing's), and a function
+    # that builds the monitored path and, for a designed path, its target
     kind, block = _variant(block, "path", "type", _PATH_KEYS)
     if kind == "generator":
         K = _complex_rows(block["generator"], "path.generator", dim, dim)
         f0 = _complex_vector(block["initial_state"], "path.initial_state", dim)
-        return GeneratorPath(K, f0, tol=tol), None
+        return _norm_bound(K), lambda: (GeneratorPath(K, f0, tol=tol), None)
     if kind == "modes":
         amps = _complex_vector(block["amplitudes"], "path.amplitudes")
         freqs = _real_vector(block["frequencies"], "path.frequencies")
@@ -263,11 +275,11 @@ def _parse_path(
                 "path: without explicit modes the number of amplitudes must "
                 "equal the dimension"
             )
-        return ModePath(amps, freqs, modes, tol=tol), None
+        return float(np.abs(freqs).max()), lambda: (ModePath(amps, freqs, modes, tol=tol), None)
     if kind == "samples":
         times = _real_vector(block["times"], "path.times")
         samples = _complex_rows(block["samples"], "path.samples", times.size, dim)
-        return SampledPath(times, samples, tol=tol), None
+        return 0.0, lambda: (SampledPath(times, samples, tol=tol), None)
     # kind == "designed"
     probabilities = _real_vector(block["probabilities"], "path.probabilities")
     frequencies = _real_vector(block["frequencies"], "path.frequencies")
@@ -275,8 +287,38 @@ def _parse_path(
         raise ConfigError(
             "path: probabilities and frequencies must have one entry per dimension"
         )
-    target, designed = mode_design(probabilities, frequencies, tol=tol)
-    return designed, target
+
+    def build():
+        target, designed = mode_design(probabilities, frequencies, tol=tol)
+        return designed, target
+
+    return float(np.abs(frequencies).max()), build
+
+
+def _norm_bound(A: np.ndarray) -> float:
+    # the largest absolute row sum: a matrix norm, so a bound on |eigenvalue|
+    with np.errstate(over="ignore"):
+        return float(np.abs(A).sum(axis=1).max())
+
+
+def _require_phase(run: RunSettings, dim: int, rate: float) -> None:
+    # `rate` times the longest time the run block covers, at most MAX_PHASE.
+    # The run's step count is checked first, so an oversized run is reported
+    # as one.  A discrete run given by M covers tau * M, and a tau sweep T.
+    if run.mode == "discrete":
+        if run.M is None:
+            steps = step_count(run.T, run.tau, dim)
+        else:
+            steps = require_step_count(run.M, run.T, run.tau, dim)
+        duration = max(run.T or 0.0, run.tau * steps)
+    else:
+        step_count(run.T, run.dt, dim)
+        duration = run.T
+    if rate * duration > MAX_PHASE:
+        raise ConfigError(
+            f"run: phase rate bound {rate:.3g} x duration {duration:.3g} exceeds "
+            f"the limit of {MAX_PHASE:g} rad"
+        )
 
 
 def _parse_run(block) -> RunSettings:
@@ -314,9 +356,11 @@ def _parse_output(block) -> OutputSettings:
 def load_scenario(config_path, tol: ToleranceProfile = DEFAULT) -> Scenario:
     """Parse and validate a scenario file.
 
-    Raises :class:`ConfigError` for structural problems and the validation
-    errors of the underlying types (non-Hermitian matrices, non-unit states)
-    for bad numerical content.  A ``designed`` path is built here, so its
+    Raises :class:`ConfigError` for structural problems and a run block
+    whose phase exceeds ``MAX_PHASE``, :class:`InputError` for a run block
+    whose step count is out of range, and the validation errors of the
+    underlying types (non-Hermitian matrices, non-unit states) for bad
+    numerical content.  A ``designed`` path is built here, so its
     physics errors (``ParallelTransportError``, ``DegenerateTargetError``)
     come from this function too.
     """
@@ -369,7 +413,10 @@ def load_scenario(config_path, tol: ToleranceProfile = DEFAULT) -> Scenario:
         raise ConfigError(f"name: {name!r} is not a plain file name")
 
     # last, so that a designed path's physics errors follow every schema check
-    monitored, target = _parse_path(raw["path"], dim, tol)
+    path_rate, build_path = _read_path(raw["path"], dim, tol)
+    if run is not None:
+        _require_phase(run, dim, _norm_bound(H) + path_rate)
+    monitored, target = build_path()
     if mode == "inverse" and target is None:
         raise ConfigError("inverse mode needs a path of type 'designed'")
     return Scenario(

@@ -1,21 +1,27 @@
+import ast
 import hashlib
 import json
+import math
 import os
 import resource
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import zenodark as zd
+import zenodark.cli
 from zenodark.cli import main, run_scenario, run_sweep
+from zenodark.scenario import load_scenario
 
 S3 = 3**-0.5
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
+SRC = ROOT / "src"
 
 
 def write(tmp_path, payload, name="scenario.json"):
@@ -148,6 +154,7 @@ class TestRunCommand:
             {"mode": "continuous", "T": 1e15, "dt": 1.0},
             {"mode": "discrete", "tau": 0.01, "M": 10**12},
             {"mode": "continuous", "T": 1e300, "dt": 1e-300},  # T / dt is infinite
+            {"mode": "discrete", "tau": 0.01, "M": 10**400},  # M is too large for a float
         ],
     )
     def test_oversized_run_exits_2(self, tmp_path, capsys, run):
@@ -345,6 +352,70 @@ class TestSweepCommand:
         assert main(["sweep", write(tmp_path, cfg_dict), "--quiet"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def energy_sweep(self, tmp_path, values):
+        cfg_dict = continuous_config(str(tmp_path / "out"))
+        cfg_dict["run"] = {"mode": "embedded", "T": 2.0, "dt": 0.001, "E": 100.0}
+        cfg_dict["sweep"] = {"parameter": "E", "values": values}
+        return write(tmp_path, cfg_dict)
+
+    @pytest.mark.parametrize(
+        "values, references",
+        [
+            # every point refines to a step of 1.25e-4
+            ([50.0, 100.0, 200.0, 400.0], 1),
+            # 150.27 refines to a step of about 1.109e-4
+            ([50.0, 100.0, 150.27], 2),
+            # 300 to about 1.111e-4, listed between points of the other steps
+            ([50.0, 150.27, 100.0, 300.0, 400.0], 3),
+        ],
+    )
+    def test_energy_sweep_integrates_each_reference_once(
+        self, tmp_path, monkeypatch, values, references
+    ):
+        # one reference run per distinct refined step, and the previous one
+        # released before the next is integrated
+        alive = []
+
+        def counted(*args, **kwargs):
+            assert all(ref() is None for ref in alive)
+            traj = zd.continuous_dark_run(*args, **kwargs)
+            alive.append(weakref.ref(traj.states))
+            return traj
+
+        monkeypatch.setattr(zenodark.cli, "continuous_dark_run", counted)
+        assert main(["sweep", self.energy_sweep(tmp_path, values), "--quiet"]) == 0
+        assert len(alive) == references
+
+    def test_committed_energy_sweep_integrates_one_reference(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return zd.continuous_dark_run(*args, **kwargs)
+
+        monkeypatch.setattr(zenodark.cli, "continuous_dark_run", counted)
+        config = str(SCENARIOS / "embedding_energy_sweep.json")
+        assert main(["sweep", config, "--quiet", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
+    def test_energy_sweep_points_equal_their_own_runs(self, tmp_path):
+        # each point's metric, computed here from the library alone: the
+        # embedded run at the step resolving E, against the dark run refined
+        # to at most 1.25e-4 and read at the point's own times
+        values = [50.0, 150.27, 100.0, 300.0, 400.0]
+        config = self.energy_sweep(tmp_path, values)
+        assert main(["sweep", config, "--quiet"]) == 0
+        summary = json.loads((tmp_path / "out" / "scenario_summary.json").read_text())
+        scenario = load_scenario(config)
+        psi0, path, H = scenario.initial_state, scenario.path, scenario.hamiltonian
+        T = 2.0
+        for E, metric in zip(values, summary["sweep"]["metrics"], strict=True):
+            dt = T / math.ceil(T / min(0.001, 0.1 / E) - 1e-9)
+            refine = math.ceil(dt / 1.25e-4 - 1e-12)
+            dark = zd.continuous_dark_run(psi0, path, H, T, dt / refine).states[::refine]
+            embedded = zd.embedded_run(psi0, path, E, T, dt)
+            assert metric == float(np.linalg.norm(embedded.dark_states - dark, axis=1).max())
+
     def test_sweep_without_block_exits_2(self, tmp_path):
         cfg = write(tmp_path, continuous_config(str(tmp_path / "out")))
         assert main(["sweep", cfg, "--quiet"]) == 2
@@ -483,6 +554,39 @@ def test_steps_times_dimension_limit_exits_2(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert f"limit of {zd.dynamics.MAX_STEP_ROWS} steps x dimension" in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        ("continuous_three_level", "run"),
+        ("embedding_energy_sweep", "run"),
+        ("embedding_energy_sweep", "sweep"),
+    ],
+)
+def test_extreme_phase_rate_exits_2(tmp_path, capsys, name, command):
+    # a finite generator entry of 1e308 ran to exit 0 with NaN results
+    cfg_dict = json.loads((SCENARIOS / f"{name}.json").read_text())
+    cfg_dict["path"]["generator"][2][2] = 1e308
+    out = tmp_path / "out"
+    assert main([command, write(tmp_path, cfg_dict), "--quiet", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: run: phase rate bound 1e+308")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_reference_step_matches_the_benchmark():
+    # perfbench counts an E sweep's refined reference steps from its own copy
+    # of the reference step; its source is parsed, not run
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    [value] = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["REFERENCE_DT"]
+    ]
+    assert zenodark.cli._REFERENCE_DT == value
 
 
 def test_non_utf8_scenario_exits_2(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import zenodark as zd
-from zenodark.errors import ConfigError, HermiticityError, ParallelTransportError
+from zenodark.errors import ConfigError, HermiticityError, InputError, ParallelTransportError
 from zenodark.scenario import load_scenario
 
 
@@ -245,3 +245,55 @@ def test_discrete_run_keeps_both_M_and_T(tmp_path):
     cfg["run"] = {"mode": "discrete", "tau": 0.01, "M": 50, "T": 1.0}
     run = load_scenario(write_config(tmp_path, cfg)).run
     assert (run.tau, run.M, run.T, run.dt, run.E) == (0.01, 50, 1.0, None, None)
+
+
+# The base generator's largest absolute row sum is 2, so a run block's phase
+# bound is (2 + |H|) x its duration; each pair sits just inside and just
+# outside MAX_PHASE = 1e6 rad.
+DESIGNED_PATH = {"type": "designed", "probabilities": [0.5, 0.25, 0.25], "frequencies": [0, 2, -2]}
+PHASE_CASES = {
+    "generator": ({}, {"mode": "continuous", "T": 4.9e5, "dt": 0.1}, 5.1e5),
+    "hamiltonian-adds": (
+        {"hamiltonian": [[0, 0, 0], [0, 0, 0], [0, 0, 1]]},
+        {"mode": "continuous", "T": 3.2e5, "dt": 0.1},
+        3.4e5,
+    ),
+    "modes": (
+        {"path": {"type": "modes", "amplitudes": [3**-0.5] * 3, "frequencies": [0, 1, -2]}},
+        {"mode": "closed_form", "T": 4.9e5, "dt": 0.1},
+        5.1e5,
+    ),
+    "designed": ({"path": DESIGNED_PATH}, {"mode": "inverse", "T": 4.9e5, "dt": 0.1}, 5.1e5),
+    "discrete-tau-M": ({}, {"mode": "discrete", "tau": 0.1, "M": 4_900_000}, 5_100_000),
+    "discrete-T": ({}, {"mode": "discrete", "tau": 0.1, "T": 4.9e5}, 5.1e5),
+}
+
+
+@pytest.mark.parametrize("change, run, over", PHASE_CASES.values(), ids=PHASE_CASES.keys())
+def test_run_phase_is_bounded(tmp_path, change, run, over):
+    cfg = {**base_config(), **change, "run": run}
+    load_scenario(write_config(tmp_path, cfg))
+    key = "M" if "M" in run else "T"
+    cfg["run"] = {**run, key: over}
+    with pytest.raises(ConfigError, match="phase rate bound .* exceeds the limit of 1e\\+06 rad"):
+        load_scenario(write_config(tmp_path, cfg))
+
+
+def test_phase_is_checked_before_the_design_is_built(tmp_path):
+    # these frequencies violate parallel transport: without the phase check
+    # first, mode_design would raise ParallelTransportError
+    cfg = {
+        **base_config(),
+        "path": {**DESIGNED_PATH, "frequencies": [0, 1e308, -1e307]},
+        "run": {"mode": "inverse", "T": 1.0, "dt": 0.001},
+    }
+    with pytest.raises(ConfigError, match="phase rate bound 1e\\+308"):
+        load_scenario(write_config(tmp_path, cfg))
+
+
+def test_oversized_run_is_reported_before_its_phase(tmp_path):
+    cfg = base_config()
+    cfg["run"] = {"mode": "continuous", "T": 1e15, "dt": 1.0}
+    with pytest.raises(InputError, match="exceed the limit of 10000000 steps"):
+        load_scenario(write_config(tmp_path, cfg))
+
