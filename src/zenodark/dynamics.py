@@ -12,7 +12,9 @@ which preserves both the norm and the orthogonality ``<f(t)|psi(t)> = 0``.
 Continuous runs integrate it with the exponential-midpoint scheme
 ``psi(t+dt) = exp(-i H_D(t+dt/2) dt) psi(t)``: exactly unitary per step,
 second order in ``dt``.  With ``H = 0`` each step is an exact rotation on
-span{f, fdot}, computed in closed form without an eigendecomposition.
+span{f, fdot}, computed in closed form; otherwise it is a Taylor polynomial
+of ``-i dt H_D`` with scaling and squaring, its degree chosen per step so the
+first dropped term is at most 2^-53.  Neither runs an eigendecomposition.
 When the monitored state is rotated by a generator K that commutes with H,
 the co-moving effective Hamiltonian is time independent and the run has a
 closed-form spectral solution.
@@ -83,7 +85,7 @@ def require_step_count(count: float, T: float, dt: float, dim: int) -> int:
             f"{count:.3g} steps of {dt} at dimension {dim} exceed the limit of "
             f"{MAX_STEP_ROWS} steps x dimension"
         )
-    if count < 1:
+    if not count >= 1:  # NaN too
         raise InputError(f"duration {T} shorter than one step {dt}")
     return int(count)
 
@@ -156,7 +158,10 @@ def discrete_dark_run(
     H = require_hermitian(H, tol, name="hamiltonian")
     if not 0.0 < tau < np.inf:
         raise InputError("measurement interval must be finite and positive")
-    M = require_step_count(M, M * tau, tau, psi0.size)
+    # M * tau overflows for an int beyond the float range; require_step_count
+    # reports a count that large before it reads the duration
+    duration = M * tau if abs(M) <= MAX_STEPS else np.nan
+    M = require_step_count(M, duration, tau, psi0.size)
 
     times = tau * np.arange(M + 1)
     f_seq, fdot_seq = path.evaluate_many(times[1:])
@@ -208,9 +213,11 @@ def continuous_dark_run(
 ) -> DarkTrajectory:
     """Integrate the effective Schroedinger equation on a uniform grid.
 
-    Exponential-midpoint propagation: each step applies the spectral
-    exponential of ``H_D`` evaluated at the interval midpoint, so the norm
-    is preserved to machine precision regardless of ``dt``.  The
+    Exponential-midpoint propagation: each step applies ``exp(-i H_D dt)``
+    with ``H_D`` evaluated at the interval midpoint, in closed form for
+    ``H = 0`` and otherwise as a Taylor series with scaling and squaring
+    accurate to rounding, so the norm is preserved to machine precision
+    regardless of ``dt``.  The
     orthogonality residual ``|<f(t)|psi(t)>|`` is recorded as a diagnostic;
     it converges to zero as ``O(dt^2)``.
 

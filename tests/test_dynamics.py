@@ -104,6 +104,20 @@ class TestDiscreteRun:
         np.testing.assert_array_equal(full.states[:21], prefix.states)
         np.testing.assert_array_equal(full.norms[:21], prefix.norms)
 
+    @pytest.mark.parametrize(
+        "M, message",
+        [
+            # beyond the float range: M * tau would overflow
+            (10**400, f"limit of {zd.dynamics.MAX_STEPS} steps"),
+            (zd.dynamics.MAX_STEPS + 1, f"limit of {zd.dynamics.MAX_STEPS} steps"),
+            (float("nan"), "shorter than one step"),
+        ],
+        ids=["huge-int", "one-over", "nan"],
+    )
+    def test_step_count_out_of_range_is_input_error(self, three_level, M, message):
+        with pytest.raises(InputError, match=message):
+            zd.discrete_dark_run(three_level.psi_equal, three_level.path, three_level.H0, 1e-2, M)
+
     def test_norms_non_increasing(self, three_level):
         traj = zd.discrete_dark_run(
             three_level.psi_equal, three_level.path, three_level.H0, 5e-3, 200

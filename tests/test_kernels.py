@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.linalg
 
 from zenodark import kernels
 from zenodark.linalg import unitary_exp
+from zenodark.scenario import MAX_DIMENSION, MAX_PHASE
 
 from conftest import random_hermitian, random_unit
 
@@ -151,6 +153,87 @@ def test_zero_hamiltonian_step_matches_expm(rng, n):
             got = kernels.continuous_loop(zero, np.stack([f, f]), f[None], fdot[None], psi0, dt)
             expected = scipy.linalg.expm(-1j * hd * dt) @ psi0
             assert np.abs(got[0][1] - expected).max() <= 1e-14
+
+
+# Worst error over these 420 steps against expm: 1.1e-14 with the earlier
+# per-chunk eigendecomposition, 9.3e-15 with the Taylor exponential, both at
+# theta = 40; for theta <= 0.45 at most 8.9e-16 and 2.2e-16.
+@pytest.mark.parametrize("n", range(2, 9))
+def test_hamiltonian_step_matches_expm(rng, n):
+    for _ in range(2):
+        H = random_hermitian(rng, n)
+        for f, fdot in _transport_cases(rng, n):
+            P = np.eye(n) - np.outer(f, f.conj())
+            hd = P @ H @ P + 1j * (np.outer(fdot, f.conj()) - np.outer(f, fdot.conj()))
+            # theta = ||-i dt H_D||_inf: no squaring up to 1/2, q = 3 and 7 above
+            for theta in (1e-3, 0.1, 0.45, 3.0, 40.0):
+                dt = theta / np.abs(hd).sum(axis=1).max()
+                psi0 = random_unit(rng, n)
+                got = kernels.continuous_loop(H, np.stack([f, f]), f[None], fdot[None], psi0, dt)
+                expected = scipy.linalg.expm(-1j * hd * dt) @ psi0
+                assert np.abs(got[0][1] - expected).max() <= 2e-15 * max(1.0, theta)
+
+
+def test_coarse_steps_keep_the_norm(rng):
+    # q = 3, 7 and 12 squarings per step: without a correction each squaring
+    # doubles the propagator's distance from unitarity (6e-12 norm drift
+    # after 2000 steps of theta = 1000)
+    n, steps = 6, 2000
+    H = random_hermitian(rng, n)
+    f = np.stack([random_unit(rng, n) for _ in range(steps + 1)])
+    fdot = rng.standard_normal((steps, n)) + 1j * rng.standard_normal((steps, n))
+    for theta in (3.0, 40.0, 1000.0):
+        dt = theta / np.abs(H).sum(axis=1).max()
+        norms = kernels.continuous_loop(H, f, f[1:], 0.0 * fdot, random_unit(rng, n), dt)[1]
+        assert np.abs(norms - 1.0).max() <= 1e-13
+
+
+def test_taylor_plan_is_minimal():
+    # theta = ||-i dt H_D||_inf over 1e-12 ... 1e7, 0, and the largest a
+    # scenario admits: with dt ||H||_inf and dt ||K||_inf at most MAX_PHASE
+    # and N at most MAX_DIMENSION, ||P H P||_inf <= (1 + sqrt N)^2 MAX_PHASE
+    # and the rotation term adds at most 2 sqrt(N) MAX_PHASE
+    root = math.sqrt(MAX_DIMENSION)
+    top = ((1.0 + root) ** 2 + 2.0 * root) * MAX_PHASE
+    theta = np.concatenate([[0.0], np.logspace(-12, 7, 400), [top]])
+    m, q = kernels._taylor_plan(theta)
+    tol = Fraction(2) ** -53
+    for t, degree, squarings in zip(theta, m.tolist(), q.tolist()):
+        scaled = Fraction(t) / 2**squarings
+        assert scaled <= Fraction(1, 2)
+        assert squarings == 0 or 2 * scaled > Fraction(1, 2)
+        assert scaled ** (degree + 1) / math.factorial(degree + 1) <= tol
+        assert degree == 0 or scaled**degree / math.factorial(degree) > tol
+    # the largest plan runs its 32 squarings to a unitary result (4e-7 off
+    # unitarity before the Newton-Schulz step, 1.2e-13 after it)
+    x = np.diag([1j * top, -1j * top])[None]
+    u = kernels._taylor_exponentials(x)[0]
+    assert q[-1] == 32
+    assert np.abs(u @ u.conj().T - np.eye(2)).max() <= 1e-12
+    # a zero generator plans degree 0, the identity; a non-finite one plans
+    # the largest degree and stays non-finite
+    assert np.array_equal(kernels._taylor_exponentials(np.zeros((1, 3, 3), complex))[0], np.eye(3))
+    assert kernels._taylor_plan(np.array([np.nan, np.inf]))[0].tolist() == [15, 15]
+    assert np.isnan(kernels._taylor_exponentials(np.full((1, 2, 2), np.nan + 0j))).all()
+
+
+@pytest.mark.parametrize("n", (3, 6))
+def test_continuous_loop_prefix_is_bitwise_across_plans(rng, n):
+    # fdot scaled per row over five decades: every block mixes Taylor degrees
+    # and squaring counts, so rows of one plan are gathered from the chunk
+    chunk = kernels._chunk_steps(n)
+    block = math.isqrt(chunk)
+    steps = 2 * chunk + block + 3
+    H, psi0, f_grid, f_mid, fdot_mid = _problem(rng, n, steps, False)
+    fdot_mid *= 10.0 ** rng.uniform(-2.0, 3.5, steps)[:, None]
+    x = -1j * 1e-3 * kernels.effective_hamiltonians(H, f_mid[:block], fdot_mid[:block])
+    m, q = kernels._taylor_plan(np.abs(x).sum(axis=2).max(axis=1))
+    assert len(set(m[q == 0].tolist())) >= 3 and q.max() >= 1
+    full = kernels.continuous_loop(H, f_grid, f_mid, fdot_mid, psi0, 1e-3)
+    for k in (1, block - 1, block, block + 1, chunk - 1, chunk, chunk + 1, chunk + block + 2):
+        part = kernels.continuous_loop(H, f_grid[: k + 1], f_mid[:k], fdot_mid[:k], psi0, 1e-3)
+        for name, a, b in zip(("states", "norms", "orth"), full, part):
+            assert np.array_equal(a[: k + 1], b), (name, k)
 
 
 @pytest.mark.parametrize("n", (2, 3, 6))
