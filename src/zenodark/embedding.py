@@ -24,7 +24,7 @@ from .dynamics import require_orthogonal, step_count
 from .errors import InputError, RegimeWarning, ResolutionError
 from .linalg import require_unit
 from .paths import MonitoredPath
-from .stencil import differentiate_series, moving_average
+from .stencil import moving_average
 from .tolerances import DEFAULT, ToleranceProfile
 from .trajectory import EmbeddedTrajectory
 
@@ -95,14 +95,18 @@ def adiabatic_alpha_check(
     The difference ``alpha(t) - i <f(t)|psidot(t)>/E`` is averaged over
     centered windows of four fast periods (width ``8 pi / E``) to remove the
     oscillation the quasi-static solution neglects; the maximum over fully
-    covered windows is returned.  A warning is issued when the scale
-    separation ``E / max(|<f|psidot>|, |<f|fdot>|)`` is below ten.
+    covered windows is returned.  Here ``psi`` is the dark component, which
+    is orthogonal to ``f`` at every t, so the coupling is taken from the
+    exact identity ``<f|psidot> = -<fdot|psi>`` with the path's own ``fdot``:
+    no numerical derivative of the sampled states enters.  A warning is
+    issued when the scale separation ``E / max(|<f|psidot>|, |<f|fdot>|)``
+    is below ten.
     """
     if traj.energy <= 0.0:
         raise InputError("adiabatic comparison needs a positive energy shift")
     f_grid, fdot_grid = path.evaluate_many(traj.times)
-    dark_dot = differentiate_series(traj.dark_states, traj.times)
-    coupling = np.einsum("ij,ij->i", f_grid.conj(), dark_dot)
+    # <f|psi_dark> = 0 at every t, so <f|psidot_dark> = -<fdot|psi_dark>
+    coupling = -np.einsum("ij,ij->i", fdot_grid.conj(), traj.dark_states)
     target = 1j * coupling / traj.energy
 
     speed = max(

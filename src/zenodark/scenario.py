@@ -13,8 +13,8 @@ keys::
                        without '/', '\\' or NUL, and not "." or "..",
       "description":   optional string, ignored,
       "dimension":     integer, 2 <= N <= MAX_DIMENSION,
-      "initial_state": complex vector, normalized at parse time
-                       (optional for mode "inverse"),
+      "initial_state": complex vector of any finite nonzero scale,
+                       normalized at parse time (optional for mode "inverse"),
       "hamiltonian":   "zero" or an N x N Hermitian matrix,
       "path":          {"type": "generator" | "modes" | "samples" | "designed", ...},
       "run":           {"mode": "discrete" | "continuous" | "closed_form"
@@ -54,7 +54,8 @@ times its duration (``T``, or ``tau * M`` for a discrete run) may not exceed
 Rules across blocks, checked here so that every command rejects a file
 whose blocks contradict each other: ``initial_state`` is required unless
 ``run.mode`` is ``"inverse"`` (also without a run block); ``embedded`` needs
-``"hamiltonian": "zero"``; ``inverse`` needs a ``designed`` path; a sweep
+``"hamiltonian": "zero"``; ``inverse`` needs a ``designed`` path, built for
+H = 0, and so ``"hamiltonian": "zero"`` too; a sweep
 needs a run block of the mode it varies (``tau`` -> ``discrete``, ``dt`` ->
 ``continuous``, ``E`` -> ``embedded``), and a ``tau`` sweep needs ``run.T``.
 
@@ -205,6 +206,21 @@ def _real_vector(value, where: str) -> np.ndarray:
     if not isinstance(value, list) or not value or not all(map(_is_finite_number, value)):
         raise ConfigError(f"{where}: expected a non-empty list of finite real numbers")
     return np.array(value, dtype=float)
+
+
+def _unit_initial_state(vec: np.ndarray) -> np.ndarray:
+    # vec / |vec| for any finite nonzero scale.  Ordinary inputs divide by
+    # the plain norm and keep its bits; a norm near either end of the float
+    # range (or past it) is taken after rescaling by the largest |re| or |im|
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(vec))
+    if not 1e-150 < nrm < 1e150:
+        scale = float(np.abs(vec.view(float)).max())
+        if scale == 0.0:
+            raise ConfigError("initial_state: must be nonzero")
+        vec = vec / scale
+        nrm = float(np.linalg.norm(vec))
+    return vec / nrm
 
 
 def _positive_number(value, where: str) -> float:
@@ -388,11 +404,9 @@ def load_scenario(config_path, tol: ToleranceProfile = DEFAULT) -> Scenario:
 
     initial = None
     if "initial_state" in raw:
-        initial = _complex_vector(raw["initial_state"], "initial_state", dim)
-        nrm = float(np.linalg.norm(initial))
-        if nrm == 0.0:
-            raise ConfigError("initial_state: must be nonzero")
-        initial = initial / nrm
+        initial = _unit_initial_state(
+            _complex_vector(raw["initial_state"], "initial_state", dim)
+        )
     elif mode != "inverse":
         raise ConfigError("configuration: missing required key 'initial_state'")
 
@@ -405,6 +419,8 @@ def load_scenario(config_path, tol: ToleranceProfile = DEFAULT) -> Scenario:
             raise ConfigError("sweep over 'tau' needs run.T")
     if mode == "embedded" and np.any(H):
         raise ConfigError('embedded mode is a pure energy shift: set hamiltonian to "zero"')
+    if mode == "inverse" and np.any(H):
+        raise ConfigError('inverse mode designs its path for H = 0: set hamiltonian to "zero"')
     output = _parse_output(raw.get("output", {}))
 
     # the name prefixes the output files, so it must be one plain file name

@@ -1,9 +1,10 @@
 """Finite-difference stencils and time-series helpers.
 
 Derivatives of sampled state histories use five-point fourth-order stencils:
-central in the interior, one-sided at the edges.  Weights come from the
-standard recursive interpolation algorithm, so non-uniform sample grids are
-handled exactly.
+central in the interior, one-sided at the edges.  Every weight, on uniform
+and non-uniform grids alike, comes from one batched Fornberg recursion
+(Fornberg, Math. Comp. 51, 699 (1988)), so each stencil is exact for
+quartics on whatever nodes it is given.
 """
 
 from __future__ import annotations
@@ -12,17 +13,35 @@ import numpy as np
 
 __all__ = ["fd_weights", "differentiate_series", "moving_average"]
 
-# Five-point fourth-order weights for unit spacing, rows are offsets of the
-# evaluation point inside the window: 0, 1, 2 (central), 3, 4.
-_UNIFORM5 = np.array(
-    [
-        [-25.0 / 12.0, 4.0, -3.0, 4.0 / 3.0, -1.0 / 4.0],
-        [-1.0 / 4.0, -5.0 / 6.0, 3.0 / 2.0, -1.0 / 2.0, 1.0 / 12.0],
-        [1.0 / 12.0, -2.0 / 3.0, 0.0, 2.0 / 3.0, -1.0 / 12.0],
-        [-1.0 / 12.0, 1.0 / 2.0, -3.0 / 2.0, 5.0 / 6.0, 1.0 / 4.0],
-        [1.0 / 4.0, -4.0 / 3.0, 3.0, -4.0, 25.0 / 12.0],
-    ]
-)
+
+def _weights(x: np.ndarray, x0, order: int) -> np.ndarray:
+    # Fornberg's recursion on arrays: the nodes run along axis 0 of `x`, the
+    # evaluation points `x0` along the rest (broadcast against x[0]).  Returns
+    # c[node, derivative order, ...] for every order up to `order`.  The
+    # arithmetic is elementwise, so each point's weights are bitwise those
+    # it gets alone.
+    n = x.shape[0]
+    if order >= n:
+        raise ValueError("need more nodes than the derivative order")
+    c = np.zeros((n, order + 1) + np.broadcast_shapes(x.shape[1:], np.shape(x0)))
+    c[0, 0] = 1.0
+    c1 = 1.0
+    c4 = x[0] - x0
+    for i in range(1, n):
+        mn = min(i, order)
+        c3 = x[i] - x[:i]
+        c2 = 1.0
+        for j in range(i):
+            c2 = c2 * c3[j]
+        c5, c4 = c4, x[i] - x0
+        for k in range(mn, 0, -1):
+            c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
+        c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+        for k in range(mn, 0, -1):
+            c[:i, k] = (c4 * c[:i, k] - k * c[:i, k - 1]) / c3
+        c[:i, 0] = c4 * c[:i, 0] / c3
+        c1 = c2
+    return c
 
 
 def fd_weights(x: np.ndarray, x0: float, order: int) -> np.ndarray:
@@ -30,38 +49,15 @@ def fd_weights(x: np.ndarray, x0: float, order: int) -> np.ndarray:
 
     Fornberg's recursion; exact for polynomials up to degree ``len(x) - 1``.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if order >= n:
-        raise ValueError("need more nodes than the derivative order")
-    c = np.zeros((n, order + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0] - x0
-    for i in range(1, n):
-        mn = min(i, order)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, order]
+    return _weights(np.asarray(x, dtype=float), float(x0), order)[:, order]
 
 
 def differentiate_series(values: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Fourth-order first derivative of ``values`` sampled at ``times``.
 
     ``values`` may be 1-D (scalar series) or 2-D with one row per sample.
-    Needs at least five samples.
+    Each point takes the five-sample window centred on it, clamped at the
+    ends.  Needs at least five samples.
     """
     values = np.asarray(values)
     times = np.asarray(times, dtype=float)
@@ -71,31 +67,13 @@ def differentiate_series(values: np.ndarray, times: np.ndarray) -> np.ndarray:
     if m < 5:
         raise ValueError("need at least 5 samples for a fourth-order derivative")
 
-    steps = np.diff(times)
-    uniform = np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
-    out = np.empty_like(values, dtype=np.result_type(values.dtype, float))
-
-    if uniform:
-        h = steps[0]
-        w = _UNIFORM5 / h
-        out[0] = np.tensordot(w[0], values[0:5], axes=(0, 0))
-        out[1] = np.tensordot(w[1], values[0:5], axes=(0, 0))
-        # vectorized central stencil
-        out[2:-2] = (
-            w[2, 0] * values[:-4]
-            + w[2, 1] * values[1:-3]
-            + w[2, 3] * values[3:-1]
-            + w[2, 4] * values[4:]
-        )
-        out[-2] = np.tensordot(w[3], values[-5:], axes=(0, 0))
-        out[-1] = np.tensordot(w[4], values[-5:], axes=(0, 0))
-        return out
-
-    for i in range(m):
-        lo = min(max(i - 2, 0), m - 5)
-        win = slice(lo, lo + 5)
-        w = fd_weights(times[win], times[i], 1)
-        out[i] = np.tensordot(w, values[win], axes=(0, 0))
+    lo = np.clip(np.arange(m) - 2, 0, m - 5)
+    window = lo + np.arange(5)[:, None]
+    w = _weights(times[window], times, 1)[:, 1]
+    w = w.reshape(w.shape + (1,) * (values.ndim - 1))
+    out = w[0] * values[window[0]]
+    for k in range(1, 5):
+        out += w[k] * values[window[k]]
     return out
 
 
@@ -107,17 +85,7 @@ def moving_average(series: np.ndarray, window: int) -> tuple[np.ndarray, slice]:
     slice.
     """
     series = np.asarray(series)
-    w = max(1, int(window))
-    if w % 2 == 0:
-        w += 1
-    if w == 1:
-        return series.copy(), slice(0, series.shape[0])
-    kernel = np.ones(w) / w
-    if np.iscomplexobj(series):
-        smooth = np.convolve(series.real, kernel, mode="same") + 1j * np.convolve(
-            series.imag, kernel, mode="same"
-        )
-    else:
-        smooth = np.convolve(series, kernel, mode="same")
+    w = max(1, int(window)) | 1
+    smooth = np.convolve(series, np.ones(w) / w, mode="same")
     half = w // 2
     return smooth, slice(half, max(half, series.shape[0] - half))

@@ -270,6 +270,17 @@ class TestDesignCommand:
         assert main(["design", cfg, "--quiet"]) == 3
         assert "parallel transport" in capsys.readouterr().err
 
+    def test_inverse_requires_zero_hamiltonian(self, tmp_path, capsys):
+        # sum_j p_j h_j = 0 passes the compatibility check, but the path is
+        # designed for H = 0, so a run under this H would miss the target
+        cfg_dict = json.loads((SCENARIOS / "inverse_design.json").read_text())
+        cfg_dict["hamiltonian"] = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
+        cfg_dict["run"]["dt"] = 1e-3
+        cfg_dict["output"] = {"directory": str(tmp_path / "out")}
+        assert main(["design", write(tmp_path, cfg_dict), "--quiet"]) == 2
+        assert 'set hamiltonian to "zero"' in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_design_needs_inverse_mode(self, tmp_path):
         cfg = write(tmp_path, continuous_config(str(tmp_path / "out")))
         assert main(["design", cfg, "--quiet"]) == 2
@@ -644,6 +655,7 @@ COMMITTED_CSV_SHA256 = {
     "inverse_design": "654f4011e438c20d7f6f37ef1c4cd06902b0871d135e8c6d088973db077f0508",
     "embedding_energy_sweep": "fcfe4469cdff1e3a22baa949b70811f386a6313f611c564bb7f02000e313b400",
     "discrete_tau_sweep": "e4d87203a9ec180517079e22687d7f73719865ca1d01e30085c6a55f73d71118",
+    "continuous_commuting_hamiltonian": "ebe5753c727809dd217c427d6e4245eb0917ce971cfcc6b27fda44d8c8916e3e",
 }
 
 # sha256 of each committed scenario's summary, without the run-dependent
@@ -654,6 +666,7 @@ COMMITTED_SUMMARY_SHA256 = {
     "embedding_energy_sweep": "a1518d1036eff09c79e130b3f2b7efe9620c0d804e012b977b2b09e73cc1ab7e",
     "discrete_tau_sweep": "21bc51b7cf0f5062ecd01e3671e4919d9189e151999ef791323c0288f4334855",
     "spectrum_three_level": "9a5f4c34e5dc35b8112d8f7f8c3be8425e32704a587e2e57444e82e7cf1decb8",
+    "continuous_commuting_hamiltonian": "ede9c13a081a6b1737b9062003a82ae63a84c0562431845d996484ea0bbafa70",
 }
 
 
@@ -665,6 +678,7 @@ COMMITTED_SUMMARY_SHA256 = {
         ("sweep", "embedding_energy_sweep"),
         ("sweep", "discrete_tau_sweep"),
         ("spectrum", "spectrum_three_level"),
+        ("run", "continuous_commuting_hamiltonian"),
     ],
 )
 def test_committed_scenario_csv_sha256_unchanged(tmp_path, command, name):

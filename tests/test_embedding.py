@@ -10,7 +10,7 @@ from zenodark.errors import (
     ResolutionError,
 )
 from zenodark.embedding import MAX_PHASE_STEP
-from zenodark.stencil import moving_average
+from zenodark.stencil import differentiate_series, moving_average
 
 from conftest import commuting_problem
 
@@ -93,14 +93,27 @@ class TestAdiabaticAlpha:
         dt = 0.1 / energy
         traj = zd.embedded_run(tl.psi_equal, tl.path, energy, T=2.0, dt=dt)
         f_grid, _ = tl.path.evaluate_many(traj.times)
-        from zenodark.stencil import differentiate_series
-
         dark_dot = differentiate_series(traj.dark_states, traj.times)
         coupling = np.abs(np.einsum("ij,ij->i", f_grid.conj(), dark_dot))
         bound = coupling.max() / energy
         window = int(round(8.0 * np.pi / energy / dt))
         smooth, interior = moving_average(traj.alpha, window)
         assert np.abs(smooth[interior]).max() <= 1.5 * bound
+
+    @pytest.mark.parametrize("energy", [100.0, 200.0])
+    def test_residual_matches_stencil_coupling(self, three_level, energy):
+        # the check takes <f|psidot> = -<fdot|psi> for the dark component;
+        # the fourth-order stencil of the sampled dark states gives the same
+        tl = three_level
+        dt = 0.1 / energy
+        traj = zd.embedded_run(tl.psi_equal, tl.path, energy, T=2.0, dt=dt)
+        f_grid, _ = tl.path.evaluate_many(traj.times)
+        dark_dot = differentiate_series(traj.dark_states, traj.times)
+        coupling = np.einsum("ij,ij->i", f_grid.conj(), dark_dot)
+        window = int(round(8.0 * np.pi / energy / dt))
+        smooth, interior = moving_average(traj.alpha - 1j * coupling / energy, window)
+        expected = np.abs(smooth[interior]).max()
+        assert zd.adiabatic_alpha_check(traj, tl.path) == pytest.approx(expected, rel=1e-6)
 
     def test_regime_warning_for_small_energy(self, three_level):
         tl = three_level

@@ -47,6 +47,23 @@ def test_initial_state_normalized_at_parse(tmp_path):
     assert np.linalg.norm(sc.initial_state) == pytest.approx(1.0)
 
 
+def test_initial_state_plain_norm_keeps_its_bits(tmp_path):
+    cfg = base_config()
+    cfg["initial_state"] = [[0.3, 0.1], [-0.7, 0.0], [0.2, -0.4]]
+    raw = np.array([0.3 + 0.1j, -0.7, 0.2 - 0.4j])
+    sc = load_scenario(write_config(tmp_path, cfg))
+    np.testing.assert_array_equal(sc.initial_state, raw / np.linalg.norm(raw))
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e-170])
+def test_initial_state_of_any_finite_scale_is_normalized(tmp_path, scale):
+    # the plain norm overflows or underflows at these scales
+    cfg = base_config()
+    cfg["initial_state"] = [[0.6 * scale, 0.0], [0.0, -0.8 * scale], [0.0, 0.0]]
+    sc = load_scenario(write_config(tmp_path, cfg))
+    np.testing.assert_allclose(sc.initial_state, [0.6, -0.8j, 0.0], rtol=0, atol=4e-16)
+
+
 def test_complex_entries_as_pairs(tmp_path):
     cfg = base_config()
     cfg["initial_state"] = [[0.0, 0.7071067811865476], [-0.7071067811865476, 0.0], [0.0, 0.0]]

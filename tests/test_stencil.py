@@ -70,3 +70,48 @@ def test_moving_average_window_one_is_identity():
     smooth, interior = moving_average(x, 1)
     np.testing.assert_array_equal(smooth, x)
     assert smooth[interior].size == 10
+
+
+# Five-point first-derivative weights on unit spacing, exact fractions; row r
+# evaluates at node r of the window
+UNIFORM5 = np.array(
+    [
+        [-25.0 / 12.0, 4.0, -3.0, 4.0 / 3.0, -1.0 / 4.0],
+        [-1.0 / 4.0, -5.0 / 6.0, 3.0 / 2.0, -1.0 / 2.0, 1.0 / 12.0],
+        [1.0 / 12.0, -2.0 / 3.0, 0.0, 2.0 / 3.0, -1.0 / 12.0],
+        [-1.0 / 12.0, 1.0 / 2.0, -3.0 / 2.0, 5.0 / 6.0, 1.0 / 4.0],
+        [1.0 / 4.0, -4.0 / 3.0, 3.0, -4.0, 25.0 / 12.0],
+    ]
+)
+
+
+@pytest.mark.parametrize("h", [1.0, 0.5, 3.0, 0.37, 2e-3, 1e-3, 1e-4])
+def test_fd_weights_match_exact_uniform_table(h):
+    x = h * np.arange(5.0)
+    for r in range(5):
+        err = np.abs(fd_weights(x, x[r], 1) * h - UNIFORM5[r]).max()
+        assert err <= 8 * np.finfo(float).eps * np.abs(UNIFORM5[r]).max()
+
+
+def test_differentiate_series_quartic_exact_on_random_nodes():
+    rng = np.random.default_rng(11)
+    t = np.cumsum(rng.uniform(0.5e-4, 1.5e-4, 20_000))
+    quartic = np.polynomial.Polynomial([1.0, -2.0, 0.5, 3.0, -1.0])
+    values = quartic(t)
+    deriv = differentiate_series(np.column_stack([values, 1j * values]), t)
+    # exact up to rounding: about eps * |values| / (smallest step) per weight
+    bound = 100 * np.finfo(float).eps * np.abs(values).max() / np.diff(t).min()
+    exact = quartic.deriv()(t)
+    assert np.abs(deriv[:, 0] - exact).max() <= bound
+    assert np.abs(deriv[:, 1] - 1j * exact).max() <= bound
+
+
+def test_moving_average_complex_matches_real_and_imaginary_parts():
+    rng = np.random.default_rng(5)
+    series = rng.normal(size=400) + 1j * rng.normal(size=400)
+    for window in (4, 7, 31):
+        smooth, interior = moving_average(series, window)
+        re, re_interior = moving_average(series.real, window)
+        im, _ = moving_average(series.imag, window)
+        assert interior == re_interior
+        np.testing.assert_allclose(smooth, re + 1j * im, rtol=0, atol=1e-15)
