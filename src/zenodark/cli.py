@@ -7,12 +7,12 @@ trajectory CSV and/or a summary JSON into the output directory.  Exit codes:
 (orthogonality setup, dark-compatibility or parallel-transport violation,
 commutation requirement).
 
-Every command runs through one runner: load the scenario, check the block
-the command needs (``run`` a run block, ``sweep`` a sweep block, ``design``
-an ``inverse`` run), call the command's executor, write its ``(mode,
-metrics, extra, trajectory)``.  Every other rule about a file's contents is
-:func:`~zenodark.scenario.load_scenario`'s, so a file whose blocks
-contradict each other fails under every command.
+Every command runs through one runner: load the scenario, check what the
+command needs (``run`` a run block, ``sweep`` a sweep block, ``spectrum`` an
+``initial_state``, ``design`` an ``inverse`` run), call the command's
+executor, write its ``(mode, metrics, extra, trajectory)``.  Every other
+rule about a file's contents is :func:`~zenodark.scenario.load_scenario`'s,
+so a file whose blocks contradict each other fails under every command.
 
 Sweep points run one after another in the calling thread and are reported in
 the order the scenario lists them.  An ``E`` sweep integrates one dark
@@ -44,7 +44,7 @@ from .dynamics import (
 )
 from .embedding import MAX_PHASE_STEP, adiabatic_alpha_check, embedded_run
 from .errors import CommutatorError, ConfigError, InputError, PhysicsError, UnsupportedVariantError
-from .paths import generator_path_of, period_of
+from .paths import period_of, require_generator
 from .scenario import Scenario, load_scenario
 from .tolerances import PROFILES, ToleranceProfile
 from .trajectory import write_rows
@@ -135,7 +135,7 @@ def _execute_run(scenario: Scenario, tol: ToleranceProfile):
         # paths without a generator, or whose generator does not commute with
         # H, have no closed form to compare against
         try:
-            gen = generator_path_of(scenario.path)
+            gen = require_generator(scenario.path)
             reference = closed_form_solution(
                 psi0, H, gen.generator, gen.initial_state, float(traj.times[-1]), tol=tol
             )
@@ -167,7 +167,7 @@ def _execute_run(scenario: Scenario, tol: ToleranceProfile):
             "E": run.E,
             "dt": run.dt,
             "deviation_from_dark": deviation,
-            "alpha_quasi_static_residual": float(adiabatic_alpha_check(traj, path, tol=tol)),
+            "alpha_quasi_static_residual": float(adiabatic_alpha_check(traj, path)),
             "max_full_norm_deviation": float(np.abs(1.0 - traj.full_norms).max()),
         }
         return run.mode, metrics, {}, traj
@@ -249,7 +249,7 @@ def _execute_sweep(scenario: Scenario, tol: ToleranceProfile):
 
 def _execute_spectrum(scenario: Scenario, tol: ToleranceProfile):
     """Complement spectrum of the monitored path and the cyclic return."""
-    gen = generator_path_of(scenario.path)
+    gen = require_generator(scenario.path)
     spectrum = zeno_spectrum(
         scenario.hamiltonian, gen.generator, gen.initial_state, scenario.initial_state, tol=tol
     )
@@ -324,6 +324,8 @@ def _run_command(command: str, execute, config_path, out_dir, profile) -> RunRep
         raise ConfigError("scenario has no 'sweep' block")
     if command == "design" and (run is None or run.mode != "inverse"):
         raise ConfigError("design needs run.mode 'inverse'")
+    if command == "spectrum" and scenario.initial_state is None:
+        raise ConfigError("spectrum needs an 'initial_state'")
     return _finish(scenario, command, execute(scenario, tol), out_dir, started)
 
 

@@ -40,7 +40,7 @@ from .errors import (
     UndefinedPhaseError,
 )
 from .linalg import require_hermitian, row_norms_and_overlaps
-from .paths import DesignedPath
+from .paths import DesignedPath, ModePath
 from .stencil import fd_weights
 from .tolerances import DEFAULT, ToleranceProfile
 
@@ -256,12 +256,13 @@ def design_monitored_state(
 
 def mode_design(
     p, nu, tol: ToleranceProfile = DEFAULT
-) -> tuple[ModeTrajectory, DesignedPath]:
+) -> tuple[ModeTrajectory, ModePath]:
     """Closed-form design for a mode target with ``H = 0``.
 
     Returns the target trajectory and the monitored path
     ``f(t) = N sum_j sqrt(p_j) nu_j exp(-i nu_j t) |j>`` with
-    ``N = (sum_j p_j nu_j^2)^(-1/2)``.
+    ``N = (sum_j p_j nu_j^2)^(-1/2)``: a mode path over the standard basis,
+    so ``f(t) = exp(-i diag(nu) t) f(0)``.
 
     Raises
     ------
@@ -284,16 +285,8 @@ def mode_design(
         )
 
     norm_inv_sq = float(traj.probabilities @ (traj.frequencies**2))
-    prefactor = norm_inv_sq ** -0.5
-    amplitudes = prefactor * np.sqrt(traj.probabilities) * traj.frequencies
-    freqs = traj.frequencies
-
-    def sample(ts: np.ndarray):
-        phased = np.exp(-1j * np.outer(ts, freqs)) * amplitudes
-        return phased, phased * (-1j * freqs)
-
-    path = DesignedPath(traj.dim, sample, tol=tol)
-    return traj, path
+    amplitudes = norm_inv_sq**-0.5 * np.sqrt(traj.probabilities) * traj.frequencies
+    return traj, ModePath(amplitudes, traj.frequencies, tol=tol)
 
 
 def _times_states(traj):

@@ -41,7 +41,7 @@ from .linalg import (
     require_unit,
     unitary_exp,
 )
-from .paths import MonitoredPath, generator_path_of
+from .paths import MonitoredPath, require_generator
 from .tolerances import DEFAULT, ToleranceProfile
 from .trajectory import DarkTrajectory
 
@@ -425,10 +425,10 @@ def closed_form_run(
 ) -> DarkTrajectory:
     """Sample the closed-form solution on a uniform grid as a trajectory.
 
-    The path must carry a generator (generator or mode variant) commuting
+    The path must carry a generator (a generator or mode path) commuting
     with ``H``.
     """
-    gen = generator_path_of(path)
+    gen = require_generator(path)
     times = dt * np.arange(step_count(T, dt, np.size(psi0)) + 1)
     states = _closed_form_states(psi0, H, gen.generator, gen.initial_state, times, tol)
 

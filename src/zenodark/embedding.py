@@ -87,9 +87,7 @@ def embedded_run(
     )
 
 
-def adiabatic_alpha_check(
-    traj: EmbeddedTrajectory, path: MonitoredPath, tol: ToleranceProfile = DEFAULT
-) -> float:
+def adiabatic_alpha_check(traj: EmbeddedTrajectory, path: MonitoredPath) -> float:
     """Residual of the quasi-static solution ``alpha = i <f|psidot>/E``.
 
     The difference ``alpha(t) - i <f(t)|psidot(t)>/E`` is averaged over
@@ -100,10 +98,17 @@ def adiabatic_alpha_check(
     exact identity ``<f|psidot> = -<fdot|psi>`` with the path's own ``fdot``:
     no numerical derivative of the sampled states enters.  A warning is
     issued when the scale separation ``E / max(|<f|psidot>|, |<f|fdot>|)``
-    is below ten.
+    is below ten, and :class:`ResolutionError` raised when the run has fewer
+    rows than one window, so that no window is fully covered.
     """
     if traj.energy <= 0.0:
         raise InputError("adiabatic comparison needs a positive energy shift")
+    window = max(1, int(round(8.0 * np.pi / traj.energy / traj.step))) | 1
+    if window > traj.times.size:
+        raise ResolutionError(
+            f"{traj.times.size} rows are fewer than one averaging window of {window} "
+            f"points (8 pi / E = {8.0 * np.pi / traj.energy:.3g}); run for longer"
+        )
     f_grid, fdot_grid = path.evaluate_many(traj.times)
     # <f|psi_dark> = 0 at every t, so <f|psidot_dark> = -<fdot|psi_dark>
     coupling = -np.einsum("ij,ij->i", fdot_grid.conj(), traj.dark_states)
@@ -121,9 +126,5 @@ def adiabatic_alpha_check(
             stacklevel=2,
         )
 
-    window = int(round(8.0 * np.pi / traj.energy / traj.step))
     smooth, interior = moving_average(traj.alpha - target, window)
-    body = smooth[interior]
-    if body.size == 0:
-        body = smooth
-    return float(np.abs(body).max())
+    return float(np.abs(smooth[interior]).max())

@@ -1,8 +1,10 @@
 """Dense complex linear algebra primitives.
 
-Everything downstream is built on three operations: Hermitian
-eigendecomposition with a deterministic phase convention, spectral unitary
-exponentials ``exp(-i A t)``, and rank-(N-1) projectors ``1 - |f><f|``.
+Besides input checks: a Hermitian eigendecomposition with a deterministic
+phase convention (generator paths, spectra, closed forms), the spectral
+exponential ``exp(-i A t)`` (discrete free evolution, co-moving frame), and
+grid norms and overlaps.  The kernels build their own step exponentials,
+and no module calls ``projector_from_state``, a helper for library users.
 States are plain complex ndarrays; operators are square complex ndarrays in
 angular-frequency units (hbar = 1).
 
@@ -144,9 +146,9 @@ def hermitian_eigendecomposition(
 def unitary_exp(A, t: float, tol: ToleranceProfile = DEFAULT) -> np.ndarray:
     """Spectral unitary exponential ``exp(-i A t)`` of a Hermitian ``A``.
 
-    Diagonalize, exponentiate the eigenvalues, recompose.  The result is
-    unitary to machine precision for any step size, which is why this is
-    used instead of series or Pade approximations.
+    Diagonalize, exponentiate the eigenvalues, recompose: unitary to machine
+    precision for any ``t``.  For one-off exponentials (``exp(-i H tau)``,
+    ``exp(i K t)``); the continuous kernel steps by closed forms or Taylor series.
     """
     dec = hermitian_eigendecomposition(A, tol)
     v = dec.eigenvectors
@@ -158,7 +160,7 @@ def projector_from_state(f, tol: ToleranceProfile = DEFAULT) -> np.ndarray:
 
     The input is validated to be unit within ``tol.unit_state`` and then
     renormalized exactly, so the returned matrix is idempotent and
-    annihilates ``f`` to machine precision.
+    annihilates ``f`` to machine precision.  No module of the package calls it.
     """
     g = require_unit(f, tol, name="monitored state")
     n = g.shape[0]

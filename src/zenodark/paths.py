@@ -7,25 +7,27 @@ renormalizes rows whose norm drifts beyond the profile threshold;
 ``evaluate(t)`` is its single-point case.
 
 ``ModePath``
-    ``f(t) = sum_j a_j exp(-i W_j t) |k_j>`` over orthonormal modes.
+    ``f(t) = sum_j a_j exp(-i W_j t) |k_j>`` over orthonormal modes, that is
+    ``exp(-i K t) f(0)``: it carries ``generator`` K and ``initial_state``.
+    ``mode_design`` returns one.
 ``GeneratorPath``
-    ``f(t) = exp(-i K t) f(0)`` for a time-independent Hermitian generator
-    K: the mode path over K's eigenbasis.
+    the mode path of a given Hermitian generator K, over K's eigenbasis.
 ``SampledPath``
     discrete unit samples on an ascending time grid, interpolated on the
     unit sphere and differentiated with fourth-order stencils.
 ``DesignedPath``
-    a grid sampler produced by the inverse-design module.
+    the grid sampler ``design_monitored_state`` builds; no generator.
 
-``generator_path_of`` gives the generator form closed-form solutions need,
-and ``period_of`` detects commensurate frequency content by
-continued-fraction approximation.
+``require_generator`` checks that a path carries a generator, as closed
+forms, spectra and ``period_of`` need; ``period_of`` detects commensurate
+frequency content by continued-fraction approximation.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +42,7 @@ __all__ = [
     "ModePath",
     "SampledPath",
     "DesignedPath",
-    "generator_path_of",
+    "require_generator",
     "period_of",
 ]
 
@@ -81,7 +83,10 @@ class MonitoredPath:
 
 
 class ModePath(MonitoredPath):
-    """Coherent superposition of orthonormal modes with fixed frequencies."""
+    """Coherent superposition of orthonormal modes with fixed frequencies.
+
+    ``modes`` holds one mode per column; the default is the standard basis.
+    """
 
     def __init__(self, amplitudes, frequencies, modes=None, tol: ToleranceProfile = DEFAULT):
         self.amplitudes = np.asarray(amplitudes, dtype=np.complex128)
@@ -103,24 +108,28 @@ class ModePath(MonitoredPath):
             if np.abs(gram - np.eye(gram.shape[0])).max() > tol.unit_state:
                 raise InputError("mode vectors must be orthonormal")
         self.dim = self.modes.shape[0]
+        self._standard_basis = modes is None
         self._tol = tol
 
     def _sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phased = np.exp(-1j * np.outer(ts, self.frequencies)) * self.amplitudes
-        f = phased @ self.modes.T
-        fdot = (-1j * self.frequencies * phased) @ self.modes.T
-        return f, fdot
+        fdot = phased * (-1j * self.frequencies)
+        if self._standard_basis:  # the identity product would only flip signed zeros
+            return phased, fdot
+        return phased @ self.modes.T, fdot @ self.modes.T
 
-    def to_generator_path(self) -> "GeneratorPath":
-        """Equivalent generator representation.
-
-        Modes outside the given set are assigned frequency zero, which does
-        not affect the path itself.
-        """
+    # the generator form, built when first read (a GeneratorPath sets both to
+    # its validated inputs); directions outside the modes get frequency zero
+    @cached_property
+    def generator(self) -> np.ndarray:
+        """Hermitian ``K = sum_j W_j |k_j><k_j|``, so ``f(t) = exp(-i K t) f(0)``."""
         K = (self.modes * self.frequencies) @ self.modes.conj().T
-        K = 0.5 * (K + K.conj().T)
-        f0 = self.modes @ self.amplitudes
-        return GeneratorPath(K, f0, tol=self._tol)
+        return require_hermitian(0.5 * (K + K.conj().T), self._tol, name="path generator")
+
+    @cached_property
+    def initial_state(self) -> np.ndarray:
+        """Unit ``f(0) = sum_j a_j |k_j>``."""
+        return require_unit(self.modes @ self.amplitudes, self._tol, name="initial monitored state")
 
 
 class GeneratorPath(ModePath):
@@ -206,9 +215,10 @@ class SampledPath(MonitoredPath):
 
 
 class DesignedPath(MonitoredPath):
-    """Monitored state produced by inverse design.
+    """Monitored state that ``design_monitored_state`` builds for a target.
 
-    ``sample(ts)`` maps a float grid to the ``(f, fdot)`` rows.
+    ``sample(ts)`` maps a float grid to the ``(f, fdot)`` rows.  It carries
+    no generator.
     """
 
     def __init__(self, dim: int, sample, tol: ToleranceProfile = DEFAULT):
@@ -220,28 +230,17 @@ class DesignedPath(MonitoredPath):
         return self._sampler(ts)
 
 
-def generator_path_of(path: MonitoredPath) -> GeneratorPath:
-    """Generator form of a generator or mode path.
+def require_generator(path: MonitoredPath) -> ModePath:
+    """The path itself, checked to be a mode path, which carries a generator.
 
     Raises
     ------
     UnsupportedVariantError
-        For sampled and designed paths, which carry no generator.
+        For a ``SampledPath`` or ``DesignedPath``, which carries no generator.
     """
-    if isinstance(path, GeneratorPath):
-        return path
-    if isinstance(path, ModePath):
-        return path.to_generator_path()
-    raise UnsupportedVariantError("this operation needs a generator or mode path")
-
-
-def _active_spectrum(path: MonitoredPath) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(path, ModePath):
-        raise UnsupportedVariantError(
-            "period detection needs a generator or mode path"
-        )
-    active = np.abs(path.amplitudes) > _AMPLITUDE_FLOOR
-    return path.amplitudes[active], path.frequencies[active]
+        raise UnsupportedVariantError("this operation needs a generator or mode path")
+    return path
 
 
 def period_of(path: MonitoredPath, tol: ToleranceProfile = DEFAULT) -> float | None:
@@ -257,7 +256,8 @@ def period_of(path: MonitoredPath, tol: ToleranceProfile = DEFAULT) -> float | N
     Returns 0.0 for a path that is stationary up to a global phase (every
     positive time is a period).
     """
-    _, freqs = _active_spectrum(path)
+    path = require_generator(path)
+    freqs = path.frequencies[np.abs(path.amplitudes) > _AMPLITUDE_FLOOR]
     ref = freqs[0]
     scale = max(1.0, float(np.abs(freqs).max()))
     diffs = np.array([w - ref for w in freqs[1:] if abs(w - ref) > tol.rational_tolerance * scale])

@@ -33,8 +33,8 @@ Path blocks:
   vectors; defaults to the standard basis).
 * ``samples``: ``"times"`` (ascending), ``"samples"`` (unit vectors).
 * ``designed``: ``"probabilities"`` and ``"frequencies"`` of a mode target;
-  the monitored state is constructed by inverse design (``mode_design``)
-  once, at load, and the scenario keeps the target as ``Scenario.target``.
+  ``mode_design`` builds the monitored state once, at load, as a mode path
+  ``exp(-i diag(nu) t) f(0)``, and ``Scenario.target`` keeps the target.
 
 Run modes (``T``, ``dt``, ``tau`` and ``E`` positive numbers, ``M`` a
 positive integer):
@@ -273,12 +273,12 @@ class Scenario:
 def _read_path(block, dim: int, tol: ToleranceProfile):
     # the path block's numbers, checked: a bound on the path's largest phase
     # rate (0 for samples, whose rate is their own spacing's), and a function
-    # that builds the monitored path and, for a designed path, its target
+    # that builds (target, monitored path), the target None unless designed
     kind, block = _variant(block, "path", "type", _PATH_KEYS)
     if kind == "generator":
         K = _complex_rows(block["generator"], "path.generator", dim, dim)
         f0 = _complex_vector(block["initial_state"], "path.initial_state", dim)
-        return _norm_bound(K), lambda: (GeneratorPath(K, f0, tol=tol), None)
+        return _norm_bound(K), lambda: (None, GeneratorPath(K, f0, tol=tol))
     if kind == "modes":
         amps = _complex_vector(block["amplitudes"], "path.amplitudes")
         freqs = _real_vector(block["frequencies"], "path.frequencies")
@@ -291,11 +291,11 @@ def _read_path(block, dim: int, tol: ToleranceProfile):
                 "path: without explicit modes the number of amplitudes must "
                 "equal the dimension"
             )
-        return float(np.abs(freqs).max()), lambda: (ModePath(amps, freqs, modes, tol=tol), None)
+        return float(np.abs(freqs).max()), lambda: (None, ModePath(amps, freqs, modes, tol=tol))
     if kind == "samples":
         times = _real_vector(block["times"], "path.times")
         samples = _complex_rows(block["samples"], "path.samples", times.size, dim)
-        return 0.0, lambda: (SampledPath(times, samples, tol=tol), None)
+        return 0.0, lambda: (None, SampledPath(times, samples, tol=tol))
     # kind == "designed"
     probabilities = _real_vector(block["probabilities"], "path.probabilities")
     frequencies = _real_vector(block["frequencies"], "path.frequencies")
@@ -303,12 +303,8 @@ def _read_path(block, dim: int, tol: ToleranceProfile):
         raise ConfigError(
             "path: probabilities and frequencies must have one entry per dimension"
         )
-
-    def build():
-        target, designed = mode_design(probabilities, frequencies, tol=tol)
-        return designed, target
-
-    return float(np.abs(frequencies).max()), build
+    rate = float(np.abs(frequencies).max())
+    return rate, lambda: mode_design(probabilities, frequencies, tol=tol)
 
 
 def _norm_bound(A: np.ndarray) -> float:
@@ -432,7 +428,7 @@ def load_scenario(config_path, tol: ToleranceProfile = DEFAULT) -> Scenario:
     path_rate, build_path = _read_path(raw["path"], dim, tol)
     if run is not None:
         _require_phase(run, dim, _norm_bound(H) + path_rate)
-    monitored, target = build_path()
+    target, monitored = build_path()
     if mode == "inverse" and target is None:
         raise ConfigError("inverse mode needs a path of type 'designed'")
     return Scenario(

@@ -80,12 +80,15 @@ def differentiate_series(values: np.ndarray, times: np.ndarray) -> np.ndarray:
 def moving_average(series: np.ndarray, window: int) -> tuple[np.ndarray, slice]:
     """Centered moving average and the slice of fully covered interior points.
 
-    ``window`` is clamped to an odd count of at least 1.  Works on complex
-    series; edge points without full coverage are excluded by the returned
-    slice.
+    ``window`` is clamped to an odd count of at least 1, and may not exceed
+    the length of the series, so at least one point is fully covered.  Works
+    on complex series; edge points without full coverage are excluded by the
+    returned slice.
     """
     series = np.asarray(series)
     w = max(1, int(window)) | 1
+    if w > series.shape[0]:
+        raise ValueError(f"window of {w} points longer than the series of {series.shape[0]}")
     smooth = np.convolve(series, np.ones(w) / w, mode="same")
     half = w // 2
-    return smooth, slice(half, max(half, series.shape[0] - half))
+    return smooth, slice(half, series.shape[0] - half)

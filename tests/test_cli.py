@@ -82,15 +82,46 @@ class TestSpectrumCommand:
         assert payload["spectrum"]["period"] == pytest.approx(2 * np.pi)
         assert "return_fidelity" in payload["spectrum"]
 
-    def test_needs_generator_content(self, tmp_path):
+    def test_needs_generator_content(self, tmp_path, capsys):
+        # a sampled path carries no generator
         cfg_dict = spectrum_config(str(tmp_path / "out"))
+        cfg_dict["path"] = {
+            "type": "samples",
+            "times": [0, 1, 2, 3, 4],
+            "samples": [[0, 0, 1]] * 5,
+        }
+        cfg = write(tmp_path, cfg_dict)
+        assert main(["spectrum", cfg, "--quiet"]) == 2
+        assert "needs a generator or mode path" in capsys.readouterr().err
+
+    def test_designed_path_spectrum(self, tmp_path):
+        # mode_design's path is f(t) = exp(-i diag(nu) t) f0 with
+        # f0 = (0, 1, -1)/sqrt(2), and the initial state is orthogonal to it
+        cfg_dict = spectrum_config(str(tmp_path / "out"))
+        cfg_dict["initial_state"] = [1, 1, 1]
         cfg_dict["path"] = {
             "type": "designed",
             "probabilities": [0.5, 0.25, 0.25],
             "frequencies": [0, 2, -2],
         }
-        cfg = write(tmp_path, cfg_dict)
-        assert main(["spectrum", cfg, "--quiet"]) == 2
+        assert main(["spectrum", write(tmp_path, cfg_dict), "--quiet"]) == 0
+        payload = json.loads((tmp_path / "out" / "scenario_summary.json").read_text())
+        # oracle: eigvalsh of P0 (H - K) P0, less the eigenvalue of f0
+        f0 = np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)
+        P0 = np.eye(3) - np.outer(f0, f0)
+        w, v = np.linalg.eigh(P0 @ -np.diag([0.0, 2.0, -2.0]) @ P0)
+        expected = np.delete(w, np.argmax(np.abs(v.T @ f0)))
+        np.testing.assert_allclose(payload["spectrum"]["omegas"], expected, rtol=0, atol=1e-12)
+        assert payload["spectrum"]["period"] == pytest.approx(np.pi / 2, rel=1e-12)
+        assert "return_fidelity" in payload["spectrum"]
+
+    def test_needs_initial_state(self, tmp_path, capsys):
+        # an inverse scenario needs no initial state, but a spectrum does
+        config = str(SCENARIOS / "inverse_design.json")
+        assert main(["spectrum", config, "--quiet", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "initial_state" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRunCommand:
@@ -204,6 +235,26 @@ class TestRunCommand:
             (tmp_path / "out" / "scenario_trajectory.csv").read_text().splitlines()[0]
         )
         assert csv_first.endswith("re_alpha,im_alpha")
+
+    def test_embedded_run_shorter_than_one_window_exits_2(self, tmp_path, capsys):
+        # E = 100, dt = 1e-3: the quasi-static check averages over 251 points
+        cfg_dict = continuous_config(str(tmp_path / "out"))
+        cfg_dict["run"] = {"mode": "embedded", "T": 0.1, "dt": 0.001, "E": 100.0}
+        assert main(["run", write(tmp_path, cfg_dict), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "101 rows" in err and "251 points" in err
+
+    def test_continuous_run_on_designed_path_has_closed_form(self, tmp_path):
+        cfg_dict = continuous_config(str(tmp_path / "out"))
+        cfg_dict["initial_state"] = [1, 1, 1]
+        cfg_dict["path"] = {
+            "type": "designed",
+            "probabilities": [0.5, 0.25, 0.25],
+            "frequencies": [0, 2, -2],
+        }
+        report = run_scenario(write(tmp_path, cfg_dict))
+        assert report.metrics["final_fidelity_vs_closed_form"] >= 1.0 - 1e-8
 
     def test_embedded_requires_zero_hamiltonian(self, tmp_path):
         cfg_dict = continuous_config(str(tmp_path / "out"))

@@ -275,6 +275,43 @@ class TestModeDesign:
                 atol=1e-12,
             )
 
+    def test_path_is_a_mode_path_sampled_bitwise_on_the_design_grid(self):
+        # the committed inverse_design grid (T = 5, dt = 1e-4): its times and
+        # midpoints against the explicit rows c exp(-i nu t), -i nu c exp(-i nu t)
+        p, nu = np.array([0.5, 0.25, 0.25]), np.array([0.0, 2.0, -2.0])
+        _, path = zd.mode_design(p, nu)
+        assert isinstance(path, zd.ModePath)
+        c = float(p @ nu**2) ** -0.5 * np.sqrt(p) * nu
+        dt, steps = 1e-4, 50_000
+        for ts in (dt * np.arange(steps + 1), dt * (np.arange(steps) + 0.5)):
+            rows = np.exp(-1j * np.outer(ts, nu)) * c
+            f, fdot = path.evaluate_many(ts)
+            np.testing.assert_array_equal(f.view(np.uint64), rows.view(np.uint64))
+            np.testing.assert_array_equal(
+                fdot.view(np.uint64), (rows * (-1j * nu)).view(np.uint64)
+            )
+
+    def test_spectrum_matches_three_level_closed_form(self):
+        # P0 (H - K) P0 with H = 0 is -P0 K P0, so the emergent frequencies
+        # are the negated closed-form eigenvalues of the complement restriction
+        nu = np.array([1.0, 0.5, -3.25])
+        _, path = zd.mode_design([0.5, 0.3, 0.2], nu)
+        f0 = path.initial_state
+        psi0 = np.array([f0[1], -f0[0], 0.0]) / np.linalg.norm(f0[:2])
+        spectrum = zd.zeno_spectrum(np.zeros((3, 3)), path.generator, f0, psi0)
+        closed = zd.three_level_frequencies(f0, nu)
+        np.testing.assert_allclose(
+            np.sort(spectrum.frequencies),
+            np.sort([-closed.omega_plus, -closed.omega_minus]),
+            rtol=0.0,
+            atol=1e-12,
+        )
+
+    def test_period_of_committed_design(self):
+        # populated frequencies +-2: f(t + pi/2) = -f(t)
+        _, path = zd.mode_design([0.5, 0.25, 0.25], [0.0, 2.0, -2.0])
+        assert zd.period_of(path) == pytest.approx(np.pi / 2, rel=1e-12)
+
     def test_single_populated_mode_rejected(self):
         with pytest.raises(DegenerateTargetError):
             zd.mode_design([1.0, 0.0, 0.0], [0.0, 2.0, -2.0])

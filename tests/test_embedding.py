@@ -117,9 +117,23 @@ class TestAdiabaticAlpha:
 
     def test_regime_warning_for_small_energy(self, three_level):
         tl = three_level
-        traj = zd.embedded_run(tl.psi_equal, tl.path, energy=8.0, T=1.0, dt=1e-2)
+        # 401 rows cover the 315-point window; E / speed is 8
+        traj = zd.embedded_run(tl.psi_equal, tl.path, energy=8.0, T=4.0, dt=1e-2)
         with pytest.warns(RegimeWarning):
             zd.adiabatic_alpha_check(traj, tl.path)
+
+    @pytest.mark.parametrize("T, rows", [(0.1, 101), (0.249, 250)])
+    def test_run_shorter_than_one_window_rejected(self, three_level, T, rows):
+        # E = 100, dt = 1e-3: the window 8 pi / E spans 251 points
+        traj = zd.embedded_run(three_level.psi_equal, three_level.path, 100.0, T=T, dt=1e-3)
+        assert traj.times.size == rows
+        with pytest.raises(ResolutionError, match=rf"{rows} rows .* 251 points"):
+            zd.adiabatic_alpha_check(traj, three_level.path)
+
+    def test_run_of_one_window_has_one_covered_point(self, three_level):
+        traj = zd.embedded_run(three_level.psi_equal, three_level.path, 100.0, T=0.25, dt=1e-3)
+        assert traj.times.size == 251
+        assert np.isfinite(zd.adiabatic_alpha_check(traj, three_level.path))
 
     def test_zero_energy_rejected(self, three_level):
         traj = zd.embedded_run(

@@ -105,7 +105,7 @@ class TestModePath:
         f0 = random_unit(rng, 4)
         gen = zd.GeneratorPath(K, f0)
         mode = zd.ModePath(gen.amplitudes, gen.frequencies, gen.modes)
-        back = mode.to_generator_path()
+        back = zd.GeneratorPath(mode.generator, mode.initial_state)
         for t in rng.uniform(-10.0, 10.0, 100):
             fg, fdg = gen.evaluate(float(t))
             fm, fdm = mode.evaluate(float(t))
@@ -114,6 +114,31 @@ class TestModePath:
             assert np.linalg.norm(fdg - fdm) <= 1e-10
             assert np.linalg.norm(fg - fb) <= 1e-10
             assert np.linalg.norm(fdg - fdb) <= 1e-10
+
+    @pytest.mark.parametrize("explicit_modes", [False, True])
+    def test_generator_form(self, rng, explicit_modes):
+        # K = (modes * w) modes^dag symmetrized and f0 = modes a renormalized,
+        # bit for bit; the standard basis is the identity matrix
+        modes = np.linalg.qr(random_hermitian(rng, 4))[0]
+        amps, freqs = random_unit(rng, 4), rng.uniform(-3.0, 3.0, 4)
+        path = zd.ModePath(amps, freqs, modes if explicit_modes else None)
+        basis = modes if explicit_modes else np.eye(4, dtype=complex)
+        K = (basis * freqs) @ basis.conj().T
+        K = 0.5 * (K + K.conj().T)
+        f0 = basis @ amps
+        f0 = f0 / np.linalg.norm(f0)
+        np.testing.assert_array_equal(path.generator.view(np.uint64), K.view(np.uint64))
+        np.testing.assert_array_equal(path.initial_state.view(np.uint64), f0.view(np.uint64))
+        for t in rng.uniform(-5.0, 5.0, 10):
+            f, _ = path.evaluate(float(t))
+            np.testing.assert_allclose(f, expm(-1j * K * t) @ f0, atol=1e-12)
+
+    def test_generator_path_keeps_its_inputs(self, rng):
+        K = random_hermitian(rng, 3)
+        f0 = random_unit(rng, 3)
+        path = zd.GeneratorPath(K, f0)
+        np.testing.assert_array_equal(path.generator, K)
+        np.testing.assert_array_equal(path.initial_state, f0 / np.linalg.norm(f0))
 
 
 class TestNormPreservation:
@@ -257,6 +282,8 @@ class TestPeriod:
         F = np.tile([1.0, 0.0], (11, 1)).astype(complex)
         with pytest.raises(UnsupportedVariantError):
             zd.period_of(zd.SampledPath(grid, F))
-        _, designed = zd.mode_design([0.5, 0.5], [1.0, -1.0])
-        with pytest.raises(UnsupportedVariantError):
+        # design_monitored_state's path is a grid sampler without a generator
+        target = zd.ModeTrajectory([0.5, 0.5], [1.0, -1.0])
+        designed = zd.design_monitored_state(target, np.zeros((2, 2)), grid).path
+        with pytest.raises(UnsupportedVariantError, match="generator or mode path"):
             zd.period_of(designed)

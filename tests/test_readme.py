@@ -1,6 +1,9 @@
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -13,3 +16,6 @@ def test_readme_python_blocks_run():
         exec(compile(block, str(README), "exec"), namespace)
     assert namespace["traj"].states.shape == (10_001, 3)
     assert namespace["result"].orthogonality_residual <= 1e-10
+    # the designed path's generator is diag(nu), read as an attribute
+    np.testing.assert_array_equal(namespace["designed"].generator, np.diag([0.0, 2.0, -2.0]))
+    assert namespace["period"] == pytest.approx(np.pi / 2, rel=1e-12)

@@ -134,9 +134,12 @@ def test_designed_path_block_parses(tmp_path):
     sc = load_scenario(write_config(tmp_path, cfg))
     assert sc.initial_state is None
     assert sc.run.mode == "inverse"
-    # the design is built at load: the path is mode_design's closed form
+    # the design is built at load: the path is mode_design's closed form, a
+    # mode path rotated by K = diag(nu)
     target, path = zd.mode_design([0.5, 0.25, 0.25], [0.0, 2.0, -2.0])
-    assert isinstance(sc.path, zd.DesignedPath)
+    assert isinstance(sc.path, zd.ModePath)
+    np.testing.assert_array_equal(sc.path.generator, np.diag([0.0, 2.0, -2.0]))
+    np.testing.assert_array_equal(sc.path.initial_state, path.initial_state)
     assert isinstance(sc.target, zd.ModeTrajectory)
     grid = np.linspace(0.0, 1.0, 11)
     np.testing.assert_array_equal(sc.path.evaluate_many(grid)[1], path.evaluate_many(grid)[1])

@@ -72,6 +72,15 @@ def test_moving_average_window_one_is_identity():
     assert smooth[interior].size == 10
 
 
+def test_moving_average_window_of_the_whole_series_covers_one_point():
+    # a window of 7 (8 rounds up to 9) fits 7 samples once, 6 not at all
+    smooth, interior = moving_average(np.arange(7.0), 7)
+    np.testing.assert_allclose(smooth[interior], [3.0])
+    for length, window in ((6, 7), (8, 8)):
+        with pytest.raises(ValueError, match="longer than the series"):
+            moving_average(np.ones(length), window)
+
+
 # Five-point first-derivative weights on unit spacing, exact fractions; row r
 # evaluates at node r of the window
 UNIFORM5 = np.array(
