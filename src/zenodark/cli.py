@@ -23,6 +23,7 @@ read their rows from one reference run.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import design_monitored_state, pancharatnam_phase, parallel_transport_residual
+from .design import design_monitored_state, phase_diagnostics
 from .dynamics import (
     closed_form_run,
     closed_form_solution,
@@ -40,6 +41,7 @@ from .dynamics import (
     discrete_dark_run,
     require_step_count,
     step_count,
+    windows,
     zeno_spectrum,
 )
 from .embedding import MAX_PHASE_STEP, adiabatic_alpha_check, embedded_run
@@ -100,8 +102,11 @@ def _dark_deviations(scenario: Scenario, tol: ToleranceProfile, points):
             traj = embedded_run(psi0, path, energy, run.T, dt, tol=tol)
             if reference is None:
                 reference = continuous_dark_run(psi0, path, H, run.T, step, tol=tol).states
-            gap = np.linalg.norm(traj.dark_states - reference[::refine], axis=1)
-            yield i, traj, float(gap.max())
+            gap = 0.0
+            for a, b in windows(traj.times.size, traj.dim):
+                rows = traj.dark_states[a:b] - reference[a * refine : b * refine : refine]
+                gap = max(gap, float(np.linalg.norm(rows, axis=1).max()))
+            yield i, traj, gap
 
 
 def _execute_run(scenario: Scenario, tol: ToleranceProfile):
@@ -174,21 +179,24 @@ def _execute_run(scenario: Scenario, tol: ToleranceProfile):
 
     # run.mode == "inverse": load_scenario has checked the path is designed
     steps = step_count(run.T, run.dt, scenario.dimension)
-    grid = run.dt * np.arange(steps + 1)
-    diagnostic = grid[:: max(1, steps // 500)]
+    diagnostic = run.dt * np.arange(0, steps + 1, max(1, steps // 500))
     result = design_monitored_state(target, H, diagnostic, tol=tol)
     psi_start = target.state_at(0.0)
     forward = continuous_dark_run(psi_start, path, H, run.T, run.dt, tol=tol)
-    targets = target.states_on(forward.times)
-    fidelities = np.abs(np.einsum("ij,ij->i", targets.conj(), forward.states))
+    worst = np.inf
+    for a, b in windows(forward.times.size, forward.dim):
+        targets = target.states_on(forward.times[a:b])
+        fidelities = np.abs(np.einsum("ij,ij->i", targets.conj(), forward.states[a:b]))
+        worst = min(worst, float(fidelities.min()))
+    transport, phase = phase_diagnostics(forward, tol=tol)
     metrics = {
         "dt": run.dt,
         "compatibility_residual": float(result.compatibility_residual),
         "design_orthogonality_residual": float(result.orthogonality_residual),
-        "roundtrip_min_fidelity": float(fidelities.min()),
+        "roundtrip_min_fidelity": worst,
         "roundtrip_final_fidelity": float(fidelities[-1]),
-        "parallel_transport_residual": float(parallel_transport_residual(forward)),
-        "geometric_phase": float(pancharatnam_phase(forward, tol=tol)),
+        "parallel_transport_residual": transport,
+        "geometric_phase": phase,
     }
     stride = max(1, result.grid.size // 100)
     design = {
@@ -283,8 +291,7 @@ def _finish(scenario: Scenario, command: str, result, out_dir, started: float) -
         sweep = extra["sweep"]
         csv_path = directory / f"{scenario.name}_sweep.csv"
         with open(csv_path, "w", newline="") as stream:
-            rows = np.column_stack([sweep["values"], sweep["metrics"]])
-            write_rows(stream, ["value", "metric"], rows)
+            write_rows(stream, ["value", "metric"], sweep["values"], sweep["metrics"])
         files.append(str(csv_path))
 
     duration = time.perf_counter() - started
@@ -358,7 +365,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="zenodark",
         description="Simulate dark evolution in a time-varying Zeno subspace",

@@ -28,10 +28,11 @@ phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dynamics import windows
 from .errors import (
     CompatibilityError,
     DegenerateTargetError,
@@ -39,7 +40,7 @@ from .errors import (
     ParallelTransportError,
     UndefinedPhaseError,
 )
-from .linalg import require_hermitian, row_norms_and_overlaps
+from .linalg import require_hermitian, row_norms_and_overlaps, row_products
 from .paths import DesignedPath, ModePath
 from .stencil import fd_weights
 from .tolerances import DEFAULT, ToleranceProfile
@@ -53,6 +54,7 @@ __all__ = [
     "mode_design",
     "parallel_transport_residual",
     "pancharatnam_phase",
+    "phase_diagnostics",
 ]
 
 
@@ -159,17 +161,25 @@ def _spacing(grid: np.ndarray) -> float:
     return float(np.median(np.diff(grid))) if grid.size > 1 else 2e-3
 
 
+def _weighted_sum(weights, window):
+    # sum_i w_i window[i], elementwise: unlike a matrix-vector product, each
+    # row rounds alike whatever grid it is part of
+    total = weights[0] * window[0]
+    for w, rows in zip(weights[1:], window[1:]):
+        total += w * rows
+    return total
+
+
 def _jet(traj: PrescribedTrajectory, ts: np.ndarray, spacing: float):
     # (psi, psidot, psiddot) on ts from one centered 5-point window: of the
     # analytic derivative when the target has one, else of its states
     offsets = spacing * np.arange(-2.0, 3.0)
     weights = [fd_weights(offsets, 0.0, order) for order in (1, 2)]
     if traj.has_derivative:
-        window = np.stack([traj.derivatives_on(ts + o) for o in offsets])
-        return traj.states_on(ts), window[2], np.tensordot(weights[0], window, axes=(0, 0))
-    window = np.stack([traj.states_on(ts + o) for o in offsets])
-    velocity, acceleration = (np.tensordot(w, window, axes=(0, 0)) for w in weights)
-    return window[2], velocity, acceleration
+        window = [traj.derivatives_on(ts + o) for o in offsets]
+        return traj.states_on(ts), window[2], _weighted_sum(weights[0], window)
+    window = [traj.states_on(ts + o) for o in offsets]
+    return window[2], _weighted_sum(weights[0], window), _weighted_sum(weights[1], window)
 
 
 def _compatibility_residual(H: np.ndarray, states, derivs, tol: ToleranceProfile) -> float:
@@ -223,7 +233,7 @@ def design_monitored_state(
     def designed(psi, velocity, acceleration):
         # f = g/||g|| and fdot = (gdot - f Re<f|gdot>)/||g|| with
         # g = H psi - i psidot, plus the prefactors 1/||g|| and |<psi|f>|
-        g = psi @ H.T - 1j * velocity
+        g = row_products(psi, H.T) - 1j * velocity
         norms, overlaps = row_norms_and_overlaps(psi, g)
         nsq = norms**2
         if np.any(nsq < tol.degenerate_norm_sq):
@@ -232,7 +242,7 @@ def design_monitored_state(
             )
         prefactors = nsq**-0.5
         f = g * prefactors[:, None]
-        gdot = velocity @ H.T - 1j * acceleration
+        gdot = row_products(velocity, H.T) - 1j * acceleration
         radial = np.real(np.sum(f.conj() * gdot, axis=1))
         fdot = (gdot - f * radial[:, None]) * prefactors[:, None]
         return f, fdot, prefactors, overlaps * prefactors
@@ -305,13 +315,8 @@ def parallel_transport_residual(traj) -> float:
     ``O(dt^2)`` for parallel-transported motion and approximates the energy
     expectation for free evolution.
     """
-    times, states = _times_states(traj)
-    if states.shape[0] < 2:
-        return 0.0
-    overlaps = np.einsum("ij,ij->i", states[:-1].conj(), states[1:])
-    norms = np.linalg.norm(states, axis=1)
-    steps = np.diff(times)
-    return float((np.abs(overlaps.imag) / (norms[:-1] * norms[1:] * steps)).max())
+    # defined whatever the overlaps, so read with no phase floor
+    return phase_diagnostics(traj, replace(DEFAULT, overlap_phase_floor=0.0))[0]
 
 
 def pancharatnam_phase(traj, tol: ToleranceProfile = DEFAULT) -> float:
@@ -327,16 +332,31 @@ def pancharatnam_phase(traj, tol: ToleranceProfile = DEFAULT) -> float:
     UndefinedPhaseError
         If any consecutive overlap magnitude falls below the phase floor.
     """
-    _, states = _times_states(traj)
+    return phase_diagnostics(traj, tol)[1]
+
+
+def phase_diagnostics(traj, tol: ToleranceProfile = DEFAULT) -> tuple[float, float]:
+    """Parallel-transport residual and Pancharatnam phase from one overlap pass.
+
+    Returns ``(parallel_transport_residual(traj), pancharatnam_phase(traj,
+    tol))``, reading every consecutive overlap once, a window at a time.
+    """
+    times, states = _times_states(traj)
     if states.shape[0] < 2:
-        return 0.0
-    overlaps = np.einsum("ij,ij->i", states[:-1].conj(), states[1:])
-    smallest = float(np.abs(overlaps).min())
+        return 0.0, 0.0
+    transport, smallest, angles = 0.0, np.inf, np.empty(states.shape[0] - 1)
+    for a, b in windows(angles.size, states.shape[1]):
+        overlaps = np.einsum("ij,ij->i", states[a:b].conj(), states[a + 1 : b + 1])
+        norms = np.linalg.norm(states[a : b + 1], axis=1)
+        ratios = np.abs(overlaps.imag) / (norms[:-1] * norms[1:] * np.diff(times[a : b + 1]))
+        transport = max(transport, float(ratios.max()))
+        smallest = min(smallest, float(np.abs(overlaps).min()))
+        angles[a:b] = np.angle(overlaps)
     if smallest < tol.overlap_phase_floor:
         raise UndefinedPhaseError(
             f"consecutive overlap magnitude {smallest:.3e} too small for a phase"
         )
-    total = float(np.angle(overlaps).sum())
+    total = float(angles.sum())  # once over the whole run: the sum is pairwise
 
     closing = np.vdot(states[-1], states[0])
     gap_sq = (
@@ -345,4 +365,4 @@ def pancharatnam_phase(traj, tol: ToleranceProfile = DEFAULT) -> float:
     )
     if math.sqrt(max(gap_sq, 0.0)) <= tol.closed_path:
         total += float(np.angle(closing))
-    return float(np.angle(np.exp(1j * total)))
+    return transport, float(np.angle(np.exp(1j * total)))

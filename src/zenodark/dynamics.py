@@ -15,9 +15,10 @@ second order in ``dt``.  With ``H = 0`` each step is an exact rotation on
 span{f, fdot}, computed in closed form; otherwise it is a Taylor polynomial
 of ``-i dt H_D`` with scaling and squaring, its degree chosen per step so the
 first dropped term is at most 2^-53.  Neither runs an eigendecomposition.
-When the monitored state is rotated by a generator K that commutes with H,
-the co-moving effective Hamiltonian is time independent and the run has a
-closed-form spectral solution.
+Runs sample the path and call a kernel one window of steps at a time
+(:func:`run_windows`).  When the monitored state is rotated by a generator K
+that commutes with H, the co-moving effective Hamiltonian is time independent
+and the run has a closed-form spectral solution.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .linalg import (
     hermitian_eigendecomposition,
     require_hermitian,
     require_unit,
+    row_products,
     unitary_exp,
 )
 from .paths import MonitoredPath, require_generator
@@ -61,11 +63,42 @@ __all__ = [
 ]
 
 
-# Longest run accepted: every step stores several complex N-vectors (states,
-# sampled path) and a CSV row, about 3 GB for 10^7 steps at N = 3.  The same
-# budget bounds steps x N, so a larger N allows proportionally fewer steps.
+# Longest run accepted: a run keeps its state and four floats per step (80 B
+# at N = 3; a 10^6-step design run peaks 83 MB above a 1,000-step one), about
+# 0.9 GB for 10^7 steps.  The same budget bounds steps x N, so a larger N
+# allows proportionally fewer steps.
 MAX_STEPS = 10_000_000
 MAX_STEP_ROWS = 3 * MAX_STEPS
+
+# Windows start at step 0 and span whole kernel chunks, so every chunk and
+# block starts where one kernel call for the whole run would start it, and
+# the rows are bitwise that call's; no sampled path spans the whole run.
+_WINDOW_CHUNKS = 16
+
+
+def windows(count: int, dim: int) -> list[tuple[int, int]]:
+    """Ranges ``(a, b)`` that cover ``0 .. count`` in windows of whole kernel chunks."""
+    width = _WINDOW_CHUNKS * kernels._chunk_steps(dim)
+    return [(a, min(a + width, count)) for a in range(0, count, width)]
+
+
+def run_windows(psi0: np.ndarray, steps: int, advance) -> list[np.ndarray]:
+    """Rows ``0 .. steps`` of a run, sampled and propagated window by window.
+
+    ``advance(a, b, psi)`` samples the path for steps ``a .. b`` and runs a
+    kernel from ``psi``, the state at step ``a``: arrays of rows ``a .. b``,
+    the states first.  Their rows 1.., and row 0 of the first window, are kept.
+    """
+    out: list[np.ndarray] = []
+    for a, b in windows(steps, psi0.size):
+        rows = advance(a, b, out[0][a] if out else psi0)
+        if not out:
+            out = [np.empty((steps + 1, *r.shape[1:]), r.dtype) for r in rows]
+            for o, r in zip(out, rows):
+                o[0] = r[0]
+        for o, r in zip(out, rows):
+            o[a + 1 : b + 1] = r[1:]
+    return out
 
 
 def require_step_count(count: float, T: float, dt: float, dim: int) -> int:
@@ -164,15 +197,16 @@ def discrete_dark_run(
     M = require_step_count(M, duration, tau, psi0.size)
 
     times = tau * np.arange(M + 1)
-    f_seq, fdot_seq = path.evaluate_many(times[1:])
-    require_orthogonal(
-        f_seq[0], psi0, tol, drift=2.0 * tau * float(np.linalg.norm(fdot_seq[0]))
-    )
-
     U = unitary_exp(H, tau, tol)
-    states, norms, orth = kernels.discrete_loop(
-        np.ascontiguousarray(U), np.ascontiguousarray(f_seq), psi0
-    )
+
+    def advance(a, b, psi):
+        f_seq, fdot_seq = path.evaluate_many(times[a + 1 : b + 1])
+        if a == 0:
+            drift = 2.0 * tau * float(np.linalg.norm(fdot_seq[0]))
+            require_orthogonal(f_seq[0], psi0, tol, drift=drift)
+        return kernels.discrete_loop(U, f_seq, psi)
+
+    states, norms, orth = run_windows(psi0, M, advance)
     return DarkTrajectory(
         times=times,
         states=states,
@@ -231,19 +265,16 @@ def continuous_dark_run(
     steps = step_count(T, dt, psi0.size)
 
     times = dt * np.arange(steps + 1)
-    midpoints = dt * (np.arange(steps) + 0.5)
-    f_grid, _ = path.evaluate_many(times)
-    f_mid, fdot_mid = path.evaluate_many(midpoints)
-    require_orthogonal(f_grid[0], psi0, tol)
+    H = np.ascontiguousarray(H)
 
-    states, norms, orth = kernels.continuous_loop(
-        np.ascontiguousarray(H),
-        np.ascontiguousarray(f_grid),
-        np.ascontiguousarray(f_mid),
-        np.ascontiguousarray(fdot_mid),
-        psi0,
-        float(dt),
-    )
+    def advance(a, b, psi):
+        f_grid, _ = path.evaluate_many(times[a : b + 1])
+        f_mid, fdot_mid = path.evaluate_many(dt * (np.arange(a, b) + 0.5))
+        if a == 0:
+            require_orthogonal(f_grid[0], psi0, tol)
+        return kernels.continuous_loop(H, f_grid, f_mid, fdot_mid, psi, float(dt))
+
+    states, norms, orth = run_windows(psi0, steps, advance)
     return DarkTrajectory(
         times=times,
         states=states,
@@ -402,11 +433,11 @@ def _closed_form_states(psi0, H, K, f0, times: np.ndarray, tol: ToleranceProfile
     inner = np.exp(-1j * np.outer(times, decH.eigenvalues)) * (
         decH.eigenvectors.conj().T @ psi0
     )
-    states = inner @ decH.eigenvectors.T
-    rotated = np.exp(-1j * np.outer(times, decK.eigenvalues)) * (
-        states @ decK.eigenvectors.conj()
+    states = row_products(inner, decH.eigenvectors.T)
+    rotated = np.exp(-1j * np.outer(times, decK.eigenvalues)) * row_products(
+        states, decK.eigenvectors.conj()
     )
-    return rotated @ decK.eigenvectors.T
+    return row_products(rotated, decK.eigenvectors.T)
 
 
 def closed_form_solution(

@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 
 from . import kernels
-from .dynamics import require_orthogonal, step_count
+from .dynamics import require_orthogonal, run_windows, step_count, windows
 from .errors import InputError, RegimeWarning, ResolutionError
 from .linalg import require_unit
 from .paths import MonitoredPath
@@ -67,16 +67,17 @@ def embedded_run(
         )
 
     times = dt * np.arange(steps + 1)
-    midpoints = dt * (np.arange(steps) + 0.5)
-    f_grid, _ = path.evaluate_many(times)
-    f_mid, _ = path.evaluate_many(midpoints)
-    require_orthogonal(f_grid[0], psi0, tol)
 
-    full = kernels.embedded_loop(
-        np.ascontiguousarray(f_mid), psi0, float(energy), float(dt)
-    )
-    alpha = np.einsum("ij,ij->i", f_grid.conj(), full)
-    dark = full - alpha[:, None] * f_grid
+    def advance(a, b, psi):
+        f_grid, _ = path.evaluate_many(times[a : b + 1])
+        f_mid, _ = path.evaluate_many(dt * (np.arange(a, b) + 0.5))
+        if a == 0:
+            require_orthogonal(f_grid[0], psi0, tol)
+        full = kernels.embedded_loop(f_mid, psi, float(energy), float(dt))
+        alpha = np.einsum("ij,ij->i", f_grid.conj(), full)
+        return full, full - alpha[:, None] * f_grid, alpha
+
+    full, dark, alpha = run_windows(psi0, steps, advance)
     return EmbeddedTrajectory(
         times=times,
         full_states=full,
@@ -109,15 +110,14 @@ def adiabatic_alpha_check(traj: EmbeddedTrajectory, path: MonitoredPath) -> floa
             f"{traj.times.size} rows are fewer than one averaging window of {window} "
             f"points (8 pi / E = {8.0 * np.pi / traj.energy:.3g}); run for longer"
         )
-    f_grid, fdot_grid = path.evaluate_many(traj.times)
     # <f|psi_dark> = 0 at every t, so <f|psidot_dark> = -<fdot|psi_dark>
-    coupling = -np.einsum("ij,ij->i", fdot_grid.conj(), traj.dark_states)
-    target = 1j * coupling / traj.energy
-
-    speed = max(
-        float(np.abs(coupling).max()),
-        float(np.abs(np.einsum("ij,ij->i", f_grid.conj(), fdot_grid)).max()),
-    )
+    target, speed = np.empty_like(traj.alpha), 0.0
+    for a, b in windows(traj.times.size, traj.dim):
+        f_grid, fdot_grid = path.evaluate_many(traj.times[a:b])
+        coupling = -np.einsum("ij,ij->i", fdot_grid.conj(), traj.dark_states[a:b])
+        target[a:b] = 1j * coupling / traj.energy
+        rate = np.einsum("ij,ij->i", f_grid.conj(), fdot_grid)
+        speed = max(speed, float(np.abs(coupling).max()), float(np.abs(rate).max()))
     if speed > 0.0 and traj.energy / speed < 10.0:
         warnings.warn(
             f"scale separation E / speed = {traj.energy / speed:.2f} below 10; "

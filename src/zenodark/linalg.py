@@ -32,6 +32,7 @@ __all__ = [
     "unitary_exp",
     "projector_from_state",
     "row_norms_and_overlaps",
+    "row_products",
 ]
 
 
@@ -165,6 +166,14 @@ def projector_from_state(f, tol: ToleranceProfile = DEFAULT) -> np.ndarray:
     g = require_unit(f, tol, name="monitored state")
     n = g.shape[0]
     return np.eye(n, dtype=np.complex128) - np.outer(g, g.conj())
+
+
+def row_products(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``rows @ matrix`` for ``(k, n)`` rows, each rounded alike whatever k is.
+
+    One row would take another BLAS routine, so it is multiplied as two.
+    """
+    return (rows[[0, 0]] @ matrix)[:1] if rows.shape[0] == 1 else rows @ matrix
 
 
 def row_norms_and_overlaps(f: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, InputError, UnsupportedVariantError
-from .linalg import hermitian_eigendecomposition, require_hermitian, require_unit
+from .linalg import hermitian_eigendecomposition, require_hermitian, require_unit, row_products
 from .stencil import differentiate_series
 from .tolerances import DEFAULT, ToleranceProfile
 
@@ -62,7 +62,7 @@ class MonitoredPath:
         raise NotImplementedError
 
     def evaluate_many(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(f, fdot)`` on a whole grid, rows following ``ts``.
+        """Return ``(f, fdot)`` on a whole grid, rows following ``ts``, C-ordered.
 
         Rows of ``f`` whose norm drifts from one by more than
         ``tol.path_renormalize_drift`` are renormalized.
@@ -74,7 +74,7 @@ class MonitoredPath:
         if drift.any():
             f = f.copy()
             f[drift] /= norms[drift, None]
-        return f, fdot
+        return np.ascontiguousarray(f), np.ascontiguousarray(fdot)
 
     def evaluate(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(f(t), fdot(t))`` with ``f`` unit-norm."""
@@ -116,7 +116,7 @@ class ModePath(MonitoredPath):
         fdot = phased * (-1j * self.frequencies)
         if self._standard_basis:  # the identity product would only flip signed zeros
             return phased, fdot
-        return phased @ self.modes.T, fdot @ self.modes.T
+        return row_products(phased, self.modes.T), row_products(fdot, self.modes.T)
 
     # the generator form, built when first read (a GeneratorPath sets both to
     # its validated inputs); directions outside the modes get frequency zero

@@ -6,15 +6,16 @@ separator, '\\n' line endings, and a versioned header comment beginning
 ``#schema=1`` that lists the column order.  :func:`write_rows` writes every
 CSV the package produces: trajectories and the CLI's sweep tables.
 
-:func:`write_rows` formats blocks of 1,024 rows with array operations.  Each
-value's 17 significant digits come from an error-free double-double product
-with a tabulated power of ten, rounded to nearest once the decimal exponent
-is fixed from the unrounded product.  The characters are laid out in one
-fixed frame per value (separator, sign, "0." and zeros, the digits twice,
-'.', the exponent), and a keep mask, looked up by the value's sign,
-notation and digit count, picks the text of ``%g`` out of it.  Zeros, NaN,
-infinities, values outside 1e-200 <= |x| < 1e200 and values within 1e-6 of
-a rounding tie are written by :func:`format_float`.
+:func:`write_rows` copies the columns it is given into a buffer of 1,024
+rows and formats it with array operations, a block at a time.  Each value's
+17 significant digits come from an error-free double-double product with a
+tabulated power of ten, rounded to nearest once the decimal exponent is
+fixed from the unrounded product.  The characters are laid out in one fixed
+frame per value (separator, sign, "0." and zeros, the digits twice, '.', the
+exponent), and a keep mask, looked up by the value's sign, notation and
+digit count, picks the text of ``%g`` out of it.  NaN, infinities, nonzero
+values outside 1e-200 <= |x| < 1e200 and values within 1e-6 of a rounding
+tie are written by :func:`format_float`.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _state_columns(n: int) -> list[str]:
 # doubles, off from the exact value by about 1e-14 of a unit in the 17th
 # digit.  So X is chosen from the unrounded value, and rounding to nearest
 # is decided exactly unless the fraction lies within _TIE_WINDOW of 1/2.
-# Those values (every exact tie among them), zeros, NaN, infinities and
+# Those values (every exact tie among them), NaN, infinities and nonzero
 # values outside the range go to format_float, one call each.
 _FAST_MIN, _FAST_MAX = 1e-200, 1e200
 _TIE_WINDOW = 1e-6
@@ -201,8 +202,10 @@ def _format_block(x, line_start, frame, keep):
     ``frame`` and ``keep`` are scratch of one _WIDTH-byte row per value.
     """
     a = np.abs(x)
+    zero = a == 0.0
     fast = (a >= _FAST_MIN) & (a < _FAST_MAX)
-    a[~fast] = 1.0
+    a[~fast] = 1.0  # a zero is written as the digits of 1 with its digit 0
+    fast |= zero
     k = np.floor(np.log10(a)).astype(np.intp)
     whole, rest = _scaled(a, k)
     # log10 can miss by one next to a power of ten: move k until the
@@ -238,7 +241,7 @@ def _format_block(x, line_start, frame, keep):
     frame[:, 27] = ord(".")
     sign = np.signbit(x)
     words = frame.view(np.uint64)
-    prefix = line_start + 50 * sign + np.take(_PREFIX_OF, exponent) + lead
+    prefix = line_start + 50 * sign + np.take(_PREFIX_OF, exponent) + lead - zero
     words[:, 0] = np.take(_PREFIX_WORDS, prefix)
     words[:, 6] = np.take(_EXPONENT_WORDS, exponent)
 
@@ -266,25 +269,32 @@ def _format_block(x, line_start, frame, keep):
 _CSV_BLOCK_ROWS = 1024
 
 
-def write_rows(stream, columns: list[str], rows: np.ndarray) -> None:
+def write_rows(stream, columns: list[str], *blocks) -> None:
     """Write a ``#schema=1`` header naming ``columns``, then one line per row.
 
-    Every value is written as :func:`format_float` writes it, byte for byte.
+    The ``blocks``, columns (1-D) or groups of columns (2-D) of one length,
+    lie side by side; no array of the whole table is made.  Every value is
+    written as :func:`format_float` writes it, byte for byte.
     """
     # each value's text starts with its separator: the header's newline
     # comes with the first value, and the last line's newline at the end
     stream.write("#schema=1 " + ",".join(columns))
-    rows = np.asarray(rows, dtype=np.float64)
-    m, n = rows.shape
-    line_start = np.zeros((min(m, _CSV_BLOCK_ROWS), n), np.intp)
+    blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
+    blocks = [b[:, None] if b.ndim == 1 else b for b in blocks]
+    m = blocks[0].shape[0]
+    edges = np.cumsum([0] + [b.shape[1] for b in blocks])
+    rows = np.empty((min(m, _CSV_BLOCK_ROWS), edges[-1]))
+    line_start = np.zeros(rows.shape, np.intp)
     line_start[:, 0] = _LINE_START
     line_start = line_start.ravel()
     frame = np.empty((line_start.size, _WIDTH), np.uint8)
     keep = np.empty(frame.shape, bool)
     for start in range(0, m, _CSV_BLOCK_ROWS):
-        x = rows[start : start + _CSV_BLOCK_ROWS].ravel()
-        size = x.size
-        text = _format_block(x, line_start[:size], frame[:size], keep[:size])
+        k = min(_CSV_BLOCK_ROWS, m - start)
+        for block, a, b in zip(blocks, edges[:-1], edges[1:]):
+            rows[:k, a:b] = block[start : start + k]
+        size = rows[:k].size
+        text = _format_block(rows[:k].ravel(), line_start[:size], frame[:size], keep[:size])
         stream.write(str(text, "ascii"))
     stream.write("\n")
 
@@ -330,17 +340,9 @@ class DarkTrajectory:
         return ["t"] + _state_columns(self.dim) + ["norm", "survival_prob", "orth_residual"]
 
     def write_csv(self, stream) -> None:
-        rows = np.column_stack(
-            [
-                self.times,
-                self.states.real,
-                self.states.imag,
-                self.norms,
-                self.survival_probability,
-                self.orthogonality_residual,
-            ]
-        )
-        write_rows(stream, self.csv_columns(), rows)
+        psi = self.states
+        floats = (self.norms, self.survival_probability, self.orthogonality_residual)
+        write_rows(stream, self.csv_columns(), self.times, psi.real, psi.imag, *floats)
 
 
 @dataclass(frozen=True)
@@ -393,17 +395,6 @@ class EmbeddedTrajectory:
 
         The full state is reconstructible as ``dark + alpha * f(t)``.
         """
-        dark_norms = self.dark_norms
-        rows = np.column_stack(
-            [
-                self.times,
-                self.dark_states.real,
-                self.dark_states.imag,
-                dark_norms,
-                dark_norms**2,
-                np.abs(self.alpha),
-                self.alpha.real,
-                self.alpha.imag,
-            ]
-        )
-        write_rows(stream, self.csv_columns(), rows)
+        dark, alpha, dark_norms = self.dark_states, self.alpha, self.dark_norms
+        floats = (dark_norms, dark_norms**2, np.abs(alpha), alpha.real, alpha.imag)
+        write_rows(stream, self.csv_columns(), self.times, dark.real, dark.imag, *floats)

@@ -638,6 +638,35 @@ def test_extreme_phase_rate_exits_2(tmp_path, capsys, name, command):
     assert not out.exists()
 
 
+def test_back_to_back_calls_parse_their_own_arguments(tmp_path, capsys):
+    # one parser serves every call in a process; no call sees another's options
+    run_cfg = write(tmp_path, continuous_config(str(tmp_path / "default")), "run.json")
+    spectrum_cfg = write(tmp_path, spectrum_config(str(tmp_path / "default")), "spectrum.json")
+    assert zenodark.cli._build_parser() is zenodark.cli._build_parser()
+
+    assert main(["run", run_cfg, "--out", str(tmp_path / "a")]) == 0
+    assert "finished" in capsys.readouterr().out
+    assert main(["spectrum", spectrum_cfg, "--quiet", "--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["design", run_cfg, "--quiet"]) == 2
+    assert "design needs run.mode 'inverse'" in capsys.readouterr().err
+    assert main(["run", run_cfg, "--quiet", "--tolerance-profile", "strict"]) == 0
+    assert main(["spectrum", spectrum_cfg]) == 0
+    assert "spectrum 'spectrum' (spectrum)" in capsys.readouterr().out
+
+    # an --out of one call is not the output directory of the next
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == [
+        "run_summary.json",
+        "run_trajectory.csv",
+    ]
+    assert [p.name for p in (tmp_path / "b").iterdir()] == ["spectrum_summary.json"]
+    assert sorted(p.name for p in (tmp_path / "default").iterdir()) == [
+        "run_summary.json",
+        "run_trajectory.csv",
+        "spectrum_summary.json",
+    ]
+
+
 def test_reference_step_matches_the_benchmark():
     # perfbench counts an E sweep's refined reference steps from its own copy
     # of the reference step; its source is parsed, not run

@@ -104,8 +104,12 @@ def test_embedded_csv_rows_match_per_value_format(rng):
     assert lines[2].split(",")[-2:] == ["-0", "4.9406564584124654e-324"]
 
 
+# any bit pattern, and often one of the two zeros
+ZERO_OR_ANY = st.one_of(st.sampled_from([0, 2**63]), st.integers(0, 2**64 - 1))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=60), st.integers(1, 4))
+@given(st.lists(ZERO_OR_ANY, min_size=1, max_size=60), st.integers(1, 4))
 def test_any_bit_pattern_writes_as_format_float(bits, columns):
     values = from_bits(bits)
     rows = values[: values.size // columns * columns].reshape(-1, columns)
@@ -175,3 +179,24 @@ def test_non_contiguous_input(rng):
     for rows in (base[::2, 1:6], np.asfortranarray(base), base.T[:4].T):
         assert not rows.flags.c_contiguous
         assert written(rows) == expected(rows)
+
+
+def test_signed_zeros_take_the_fast_path(monkeypatch):
+    # "0" and "-0" come from the keep masks, without a format_float call
+    import zenodark.trajectory
+
+    calls = []
+    monkeypatch.setattr(zenodark.trajectory, "format_float", lambda x: calls.append(x) or "")
+    rows = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, 0.0], [-0.25, -0.0, 4.0]])
+    assert written(rows) == expected(rows)
+    assert written(rows).splitlines()[1:] == ["0,-0,1.5", "-0,0,0", "-0.25,-0,4"]
+    assert calls == []
+
+
+def test_columns_and_column_groups_write_as_one_table(rng):
+    # write_rows stacks its blocks side by side, a block at a time
+    m = 2 * _CSV_BLOCK_ROWS + 3
+    t, group, last = rng.standard_normal(m), rng.standard_normal((m, 3)), rng.standard_normal(m)
+    stream = io.StringIO()
+    write_rows(stream, [f"c{j}" for j in range(5)], t, group, list(last))
+    assert stream.getvalue() == expected(np.column_stack([t, group, last]))
