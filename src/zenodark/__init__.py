@@ -18,24 +18,19 @@ from .design import (
     validate_dark_compatibility,
 )
 from .dynamics import (
-    ThreeLevelFrequencies,
     ZenoSpectrum,
     closed_form_run,
     closed_form_solution,
-    comoving_hamiltonian,
     continuous_dark_run,
     cyclic_return_fidelity,
     discrete_dark_run,
-    discrete_dark_step,
     effective_hamiltonian,
-    three_level_frequencies,
     zeno_spectrum,
 )
 from .embedding import adiabatic_alpha_check, embedded_run
 from .linalg import (
     EigenDecomposition,
     hermitian_eigendecomposition,
-    projector_from_state,
     unitary_exp,
 )
 from .paths import (
@@ -66,18 +61,15 @@ __all__ = [
     "MonitoredPath",
     "PrescribedTrajectory",
     "SampledPath",
-    "ThreeLevelFrequencies",
     "ToleranceProfile",
     "ZenoSpectrum",
     "adiabatic_alpha_check",
     "closed_form_run",
     "closed_form_solution",
-    "comoving_hamiltonian",
     "continuous_dark_run",
     "cyclic_return_fidelity",
     "design_monitored_state",
     "discrete_dark_run",
-    "discrete_dark_step",
     "effective_hamiltonian",
     "embedded_run",
     "hermitian_eigendecomposition",
@@ -85,8 +77,6 @@ __all__ = [
     "pancharatnam_phase",
     "parallel_transport_residual",
     "period_of",
-    "projector_from_state",
-    "three_level_frequencies",
     "unitary_exp",
     "validate_dark_compatibility",
     "zeno_spectrum",

@@ -114,6 +114,8 @@ class ModeTrajectory(PrescribedTrajectory):
         nu = np.asarray(frequencies, dtype=float)
         if p.ndim != 1 or p.shape != nu.shape:
             raise InputError("probabilities and frequencies must be 1-D, equal length")
+        if not (np.isfinite(p).all() and np.isfinite(nu).all()):
+            raise InputError("probabilities and frequencies must be finite")
         if np.any(p < -1e-15):
             raise InputError("probabilities must be nonnegative")
         p = np.clip(p, 0.0, None)

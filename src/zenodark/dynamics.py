@@ -49,14 +49,10 @@ from .trajectory import DarkTrajectory
 
 __all__ = [
     "ZenoSpectrum",
-    "ThreeLevelFrequencies",
-    "discrete_dark_step",
     "discrete_dark_run",
     "effective_hamiltonian",
     "continuous_dark_run",
-    "comoving_hamiltonian",
     "zeno_spectrum",
-    "three_level_frequencies",
     "closed_form_solution",
     "closed_form_run",
     "cyclic_return_fidelity",
@@ -148,23 +144,6 @@ def require_orthogonal(f, psi0, tol: ToleranceProfile = DEFAULT, drift: float = 
             f"initial state must be orthogonal to the monitored state: "
             f"|<f|psi0>| = {overlap:.3e} exceeds {bound:.3e}"
         )
-
-
-def discrete_dark_step(psi, f_next, H, tau: float, tol: ToleranceProfile = DEFAULT) -> np.ndarray:
-    """One measurement step: free evolution for ``tau``, then projection.
-
-    Returns the raw, unnormalized ``(1 - |f><f|) exp(-i H tau) psi``; its
-    norm never exceeds the input norm.
-    """
-    psi = as_state(psi)
-    sq = float(np.linalg.norm(psi)) ** 2
-    if sq > 1.0 + tol.state_norm_cap:
-        raise InputError(f"state squared norm {sq:.12g} exceeds 1")
-    f = require_unit(f_next, tol, name="monitored state")
-    H = require_hermitian(H, tol, name="hamiltonian")
-    if not 0.0 < tau < np.inf:
-        raise InputError("measurement interval must be finite and positive")
-    return kernels.discrete_loop(unitary_exp(H, tau, tol), f[None], psi)[0][1]
 
 
 def discrete_dark_run(
@@ -286,25 +265,6 @@ def continuous_dark_run(
     )
 
 
-def comoving_hamiltonian(H, K, f0, t: float, tol: ToleranceProfile = DEFAULT) -> np.ndarray:
-    """Effective Hamiltonian in the frame where the monitored state rests.
-
-    ``P(0) (exp(i K t) H exp(-i K t) - K) P(0)``; it annihilates ``f0`` from
-    both sides and is time independent whenever ``[K, H] = 0``.
-    """
-    H = require_hermitian(H, tol, name="hamiltonian")
-    K = require_hermitian(K, tol, name="path generator")
-    f0 = require_unit(f0, tol, name="monitored state")
-    rot = unitary_exp(K, -t, tol)
-    return _comoving(rot @ H @ rot.conj().T - K, f0)
-
-
-def _comoving(A, f0: np.ndarray) -> np.ndarray:
-    # P0 A P0 with P0 = 1 - |f0><f0|
-    P0 = np.eye(f0.shape[0], dtype=np.complex128) - np.outer(f0, f0.conj())
-    return P0 @ A @ P0
-
-
 def _commuting_setup(psi0, H, K, f0, tol: ToleranceProfile):
     # validated (psi0, H, K, f0) of a static co-moving problem: [K, H] = 0, psi0 _|_ f0
     psi0 = require_unit(psi0, tol, name="initial state")
@@ -370,74 +330,28 @@ def zeno_spectrum(
     )
 
 
-@dataclass(frozen=True)
-class ThreeLevelFrequencies:
-    """Closed-form spectrum of a monitored three-level system with H = 0.
+def closed_form_states(psi0, H, K, f0, tol: ToleranceProfile = DEFAULT):
+    """``states(times)``, rows ``exp(-i K t) exp(-i Htilde t) psi0`` for ``[K,H] = 0``.
 
-    ``trace`` and ``determinant`` characterize the 2x2 restriction of
-    ``P(0) K P(0)`` to the complement of the monitored state;
-    ``omega_plus`` and ``omega_minus`` are its eigenvalues.
+    Checks and diagonalizes once; a row is rounded alike in any grid, so a
+    run's windows are rows of the whole.  ``Htilde = P(0)(H - K)P(0)``.
     """
-
-    trace: float
-    determinant: float
-    omega_plus: float
-    omega_minus: float
-
-
-def three_level_frequencies(a, Omega, tol: ToleranceProfile = DEFAULT) -> ThreeLevelFrequencies:
-    """Eigenfrequencies of the complement restriction for N = 3, H = 0.
-
-    For a monitored state with amplitudes ``a_j`` over generator modes of
-    frequencies ``Omega_j``, the restriction of ``P(0) K P(0)`` to the
-    complement has trace ``sum Omega_j - sum |a_j|^2 Omega_j`` and
-    determinant ``sum_j |a_j|^2 (product of the other two frequencies)``.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    Omega = np.asarray(Omega, dtype=float)
-    if a.shape != (3,) or Omega.shape != (3,):
-        raise InputError("need exactly three amplitudes and three frequencies")
-    weights = np.abs(a) ** 2
-    total = float(weights.sum())
-    if abs(total - 1.0) > tol.path_norm:
-        raise InputError(f"amplitudes must satisfy sum |a_j|^2 = 1, got {total:.12g}")
-
-    trace = float(Omega.sum() - weights @ Omega)
-    determinant = float(
-        weights[0] * Omega[1] * Omega[2]
-        + weights[1] * Omega[0] * Omega[2]
-        + weights[2] * Omega[0] * Omega[1]
-    )
-    disc = trace * trace - 4.0 * determinant
-    if disc < -1e-12:
-        raise InputError(
-            f"inconsistent spectrum: trace^2 - 4 det = {disc:.3e} is negative"
-        )
-    root = float(np.sqrt(max(disc, 0.0)))
-    return ThreeLevelFrequencies(
-        trace=trace,
-        determinant=determinant,
-        omega_plus=0.5 * (trace + root),
-        omega_minus=0.5 * (trace - root),
-    )
-
-
-def _closed_form_states(psi0, H, K, f0, times: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
-    # rows: exp(-i K t) exp(-i Htilde t) psi0 at each t, Htilde = P(0)(H - K)P(0)
     psi0, H, K, f0 = _commuting_setup(psi0, H, K, f0, tol)
-    Ht = _comoving(H - K, f0)
-    Ht = 0.5 * (Ht + Ht.conj().T)
-    decH = hermitian_eigendecomposition(Ht, tol)
+    P0 = np.eye(f0.shape[0], dtype=np.complex128) - np.outer(f0, f0.conj())
+    Ht = P0 @ (H - K) @ P0
+    decH = hermitian_eigendecomposition(0.5 * (Ht + Ht.conj().T), tol)
     decK = hermitian_eigendecomposition(K, tol)
+    coefficients = decH.eigenvectors.conj().T @ psi0
 
-    inner = np.exp(-1j * np.outer(times, decH.eigenvalues)) * (
-        decH.eigenvectors.conj().T @ psi0
-    )
-    states = row_products(inner, decH.eigenvectors.T)
-    rotated = np.exp(-1j * np.outer(times, decK.eigenvalues)) * row_products(
-        states, decK.eigenvectors.conj()
-    )
-    return row_products(rotated, decK.eigenvectors.T)
+    def states(times: np.ndarray) -> np.ndarray:
+        inner = np.exp(-1j * np.outer(times, decH.eigenvalues)) * coefficients
+        comoving = row_products(inner, decH.eigenvectors.T)
+        rotated = np.exp(-1j * np.outer(times, decK.eigenvalues)) * row_products(
+            comoving, decK.eigenvectors.conj()
+        )
+        return row_products(rotated, decK.eigenvectors.T)
+
+    return states
 
 
 def closed_form_solution(
@@ -448,24 +362,29 @@ def closed_form_solution(
     ``Htilde = P(0)(H - K)P(0)``.  Equals the mode expansion
     ``sum_k c_k exp(-i w_k t) exp(-i K t) u_k`` over the complement spectrum.
     """
-    return _closed_form_states(psi0, H, K, f0, np.array([float(t)]), tol)[0]
+    return closed_form_states(psi0, H, K, f0, tol)(np.array([float(t)]))[0]
 
 
 def closed_form_run(
     psi0, path: MonitoredPath, H, T: float, dt: float, tol: ToleranceProfile = DEFAULT
 ) -> DarkTrajectory:
-    """Sample the closed-form solution on a uniform grid as a trajectory.
+    """Sample the closed-form solution on a uniform grid, one window at a time.
 
     The path must carry a generator (a generator or mode path) commuting
     with ``H``.
     """
     gen = require_generator(path)
-    times = dt * np.arange(step_count(T, dt, np.size(psi0)) + 1)
-    states = _closed_form_states(psi0, H, gen.generator, gen.initial_state, times, tol)
+    steps = step_count(T, dt, np.size(psi0))
+    times = dt * np.arange(steps + 1)
+    states_at = closed_form_states(psi0, H, gen.generator, gen.initial_state, tol)
 
-    f_grid, _ = path.evaluate_many(times)
-    norms = np.linalg.norm(states, axis=1)
-    orth = np.abs(np.einsum("ij,ij->i", f_grid.conj(), states))
+    def advance(a, b, psi):
+        states = states_at(times[a : b + 1])
+        f_grid, _ = path.evaluate_many(times[a : b + 1])
+        orth = np.abs(np.einsum("ij,ij->i", f_grid.conj(), states))
+        return states, np.linalg.norm(states, axis=1), orth
+
+    states, norms, orth = run_windows(np.asarray(psi0), steps, advance)
     return DarkTrajectory(
         times=times,
         states=states,

@@ -57,8 +57,8 @@ def embedded_run(
         If the initial state is not orthogonal to ``f(0)``.
     """
     psi0 = require_unit(psi0, tol, name="initial state")
-    if energy < 0.0:
-        raise InputError("energy shift must be nonnegative")
+    if not 0.0 <= energy < np.inf:
+        raise InputError("energy shift must be finite and nonnegative")
     steps = step_count(T, dt, psi0.size)
     if energy > 0.0 and dt > MAX_PHASE_STEP / energy * (1.0 + 1e-9):
         raise ResolutionError(

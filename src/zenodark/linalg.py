@@ -2,9 +2,8 @@
 
 Besides input checks: a Hermitian eigendecomposition with a deterministic
 phase convention (generator paths, spectra, closed forms), the spectral
-exponential ``exp(-i A t)`` (discrete free evolution, co-moving frame), and
-grid norms and overlaps.  The kernels build their own step exponentials,
-and no module calls ``projector_from_state``, a helper for library users.
+exponential ``exp(-i A t)`` (discrete free evolution), and grid norms and
+overlaps.  The kernels build their own step exponentials and projectors.
 States are plain complex ndarrays; operators are square complex ndarrays in
 angular-frequency units (hbar = 1).
 
@@ -30,7 +29,6 @@ __all__ = [
     "fix_phases",
     "hermitian_eigendecomposition",
     "unitary_exp",
-    "projector_from_state",
     "row_norms_and_overlaps",
     "row_products",
 ]
@@ -148,24 +146,12 @@ def unitary_exp(A, t: float, tol: ToleranceProfile = DEFAULT) -> np.ndarray:
     """Spectral unitary exponential ``exp(-i A t)`` of a Hermitian ``A``.
 
     Diagonalize, exponentiate the eigenvalues, recompose: unitary to machine
-    precision for any ``t``.  For one-off exponentials (``exp(-i H tau)``,
-    ``exp(i K t)``); the continuous kernel steps by closed forms or Taylor series.
+    precision for any ``t``.  For one-off exponentials such as ``exp(-i H tau)``;
+    the continuous kernel steps by closed forms or Taylor series.
     """
     dec = hermitian_eigendecomposition(A, tol)
     v = dec.eigenvectors
     return (v * np.exp(-1j * dec.eigenvalues * t)) @ v.conj().T
-
-
-def projector_from_state(f, tol: ToleranceProfile = DEFAULT) -> np.ndarray:
-    """Projector ``1 - |f><f|`` onto the complement of a unit state ``f``.
-
-    The input is validated to be unit within ``tol.unit_state`` and then
-    renormalized exactly, so the returned matrix is idempotent and
-    annihilates ``f`` to machine precision.  No module of the package calls it.
-    """
-    g = require_unit(f, tol, name="monitored state")
-    n = g.shape[0]
-    return np.eye(n, dtype=np.complex128) - np.outer(g, g.conj())
 
 
 def row_products(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:

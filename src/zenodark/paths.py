@@ -93,6 +93,8 @@ class ModePath(MonitoredPath):
         self.frequencies = np.asarray(frequencies, dtype=float)
         if self.amplitudes.ndim != 1 or self.amplitudes.shape != self.frequencies.shape:
             raise InputError("amplitudes and frequencies must be 1-D and of equal length")
+        if not (np.isfinite(self.amplitudes).all() and np.isfinite(self.frequencies).all()):
+            raise InputError("amplitudes and frequencies must be finite")
         total = float(np.sum(np.abs(self.amplitudes) ** 2))
         if abs(total - 1.0) > tol.path_norm:
             raise InputError(
@@ -102,8 +104,8 @@ class ModePath(MonitoredPath):
             self.modes = np.eye(self.amplitudes.size, dtype=np.complex128)
         else:
             self.modes = np.asarray(modes, dtype=np.complex128)
-            if self.modes.ndim != 2 or self.modes.shape[1] != self.amplitudes.size:
-                raise InputError("modes must be a matrix with one column per amplitude")
+            if self.modes.shape[1:] != self.amplitudes.shape or not np.isfinite(self.modes).all():
+                raise InputError("modes must be a finite matrix with one column per amplitude")
             gram = self.modes.conj().T @ self.modes
             if np.abs(gram - np.eye(gram.shape[0])).max() > tol.unit_state:
                 raise InputError("mode vectors must be orthonormal")
@@ -167,6 +169,8 @@ class SampledPath(MonitoredPath):
             raise InputError("need 1-D times and a matrix of samples")
         if self.samples.shape[0] != self.times.size:
             raise InputError("one sample per time required")
+        if not (np.isfinite(self.times).all() and np.isfinite(self.samples).all()):
+            raise InputError("sample times and samples must be finite")
         if self.times.size < 5:
             raise InputError("need at least 5 samples")
         if np.any(np.diff(self.times) <= 0):

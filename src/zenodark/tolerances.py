@@ -16,7 +16,6 @@ class ToleranceProfile:
     # Matrix and state validation
     hermiticity: float = 1e-12          # max |A - A^dag| entrywise, absolute
     unit_state: float = 1e-10           # | ||v|| - 1 | for states required unit
-    state_norm_cap: float = 1e-12       # slack above 1 allowed for squared norms
     eigenvector_phase_floor: float = 1e-10    # first component counted significant
 
     # Monitored paths

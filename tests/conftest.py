@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import zenodark as zd
 
@@ -12,6 +13,36 @@ def random_hermitian(rng, n):
 def random_unit(rng, n):
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
+
+
+def projector(f):
+    """Oracle: the measurement projector ``1 - |f><f|`` of a unit state ``f``."""
+    return np.eye(f.shape[0]) - np.outer(f, f.conj())
+
+
+def comoving_hamiltonian(H, K, f0, t):
+    """Oracle: ``P(0) (exp(i K t) H exp(-i K t) - K) P(0)``, the effective
+    Hamiltonian in the frame where the monitored state rests; time
+    independent whenever ``[K, H] = 0``.  Uses scipy's ``expm``."""
+    rot = scipy.linalg.expm(1j * t * np.asarray(K, dtype=complex))
+    P0 = projector(f0)
+    return P0 @ (rot @ H @ rot.conj().T - K) @ P0
+
+
+def three_level_frequencies(a, Omega):
+    """Oracle: ``(omega_minus, omega_plus)``, the closed-form eigenvalues of
+    ``P(0) K P(0)`` on the complement of ``f0 = sum_j a_j |j>`` for
+    ``K = diag(Omega)`` at N = 3.  The 2x2 restriction has trace
+    ``sum Omega_j - sum |a_j|^2 Omega_j`` and determinant
+    ``sum_j |a_j|^2 (product of the other two frequencies)``."""
+    w = np.abs(np.asarray(a)) ** 2
+    Omega = np.asarray(Omega, dtype=float)
+    trace = Omega.sum() - w @ Omega
+    determinant = (
+        w[0] * Omega[1] * Omega[2] + w[1] * Omega[0] * Omega[2] + w[2] * Omega[0] * Omega[1]
+    )
+    root = np.sqrt(max(trace * trace - 4.0 * determinant, 0.0))
+    return 0.5 * (trace - root), 0.5 * (trace + root)
 
 
 def commuting_problem(n, seed):

@@ -16,7 +16,7 @@ import pytest
 import zenodark as zd
 from zenodark.cli import main
 
-from conftest import random_hermitian, random_unit
+from conftest import projector, random_hermitian, random_unit, three_level_frequencies
 
 
 def report(criterion, ok, detail):
@@ -34,26 +34,29 @@ def warm_kernels(three_level):
 
 def test_criterion_1_three_level_spectrum(three_level):
     started = time.perf_counter()
-    r = zd.three_level_frequencies(np.ones(3) / np.sqrt(3), [0.0, 1.0, 2.0])
+    omega_minus, omega_plus = three_level_frequencies(np.ones(3) / np.sqrt(3), [0.0, 1.0, 2.0])
     exact = (1.0 + 3**-0.5, 1.0 - 3**-0.5)
     formula_ok = (
-        abs(r.omega_plus - exact[0]) <= 1e-12 and abs(r.omega_minus - exact[1]) <= 1e-12
+        abs(omega_plus - exact[0]) <= 1e-12 and abs(omega_minus - exact[1]) <= 1e-12
     )
 
-    # numerical diagonalization of the complement restriction of P(0) K P(0)
+    # numerical diagonalization of the complement restriction of P(0) K P(0),
+    # and the library's spectrum, whose frequencies are its negated eigenvalues
     f0 = three_level.f0.astype(complex)
-    P = np.eye(3) - np.outer(f0, f0.conj())
+    P = projector(f0)
     q, _ = np.linalg.qr(np.column_stack([f0, np.eye(3)]))
     B = q[:, 1:]
     eigs = np.linalg.eigvalsh(B.conj().T @ (P @ np.diag([0.0, 1.0, 2.0]) @ P) @ B)
-    numeric_ok = np.abs(eigs - [r.omega_minus, r.omega_plus]).max() <= 1e-10
+    gap = np.abs(eigs - [omega_minus, omega_plus]).max()
+    spectrum_gap = np.abs(three_level.spectrum.frequencies + [omega_plus, omega_minus]).max()
+    numeric_ok = gap <= 1e-10 and spectrum_gap <= 1e-10
 
     elapsed = time.perf_counter() - started
     report(
         1,
         formula_ok and numeric_ok and elapsed < 1.0,
-        f"omega_pm = ({r.omega_plus:.6f}, {r.omega_minus:.6f}), "
-        f"diagonalization gap {np.abs(eigs - [r.omega_minus, r.omega_plus]).max():.2e}, "
+        f"omega_pm = ({omega_plus:.6f}, {omega_minus:.6f}), "
+        f"diagonalization gap {gap:.2e}, zeno_spectrum gap {spectrum_gap:.2e}, "
         f"{elapsed:.2f}s",
     )
 
@@ -273,11 +276,16 @@ def test_criterion_8_property_suites():
         worst_herm = max(worst_herm, float(np.abs(hd - hd.conj().T).max()))
     herm_ok = worst_herm <= 1e-12
 
+    # the effective Hamiltonian of H = 1 for a resting f is the measurement
+    # projector 1 - |f><f|: idempotent, and equal to the projector oracle
     worst_proj = 0.0
     for _ in range(1000):
         n = int(rng.integers(2, 9))
-        P = zd.projector_from_state(random_unit(rng, n))
-        worst_proj = max(worst_proj, float(np.abs(P @ P - P).max()))
+        f = random_unit(rng, n)
+        P = zd.effective_hamiltonian(np.eye(n), f, np.zeros(n))
+        worst_proj = max(
+            worst_proj, float(np.abs(P @ P - P).max()), float(np.abs(P - projector(f)).max())
+        )
     proj_ok = worst_proj <= 1e-12
 
     worst_unitary = 0.0
@@ -293,14 +301,12 @@ def test_criterion_8_property_suites():
     for _ in range(1000):
         a = random_unit(rng, 3)
         Omega = rng.uniform(-5.0, 5.0, 3)
-        r = zd.three_level_frequencies(a, Omega)
-        P = np.eye(3) - np.outer(a, a.conj())
+        closed = three_level_frequencies(a, Omega)
+        P = projector(a)
         q, _ = np.linalg.qr(np.column_stack([a, np.eye(3)]))
         B = q[:, 1:]
         eigs = np.linalg.eigvalsh(B.conj().T @ (P @ np.diag(Omega) @ P) @ B)
-        worst_spectrum = max(
-            worst_spectrum, float(np.abs(eigs - [r.omega_minus, r.omega_plus]).max())
-        )
+        worst_spectrum = max(worst_spectrum, float(np.abs(eigs - closed).max()))
     spectrum_ok = worst_spectrum <= 1e-10
 
     elapsed = time.perf_counter() - started

@@ -13,7 +13,15 @@ from zenodark.errors import (
 )
 from zenodark.linalg import unitary_exp
 
-from conftest import commuting_problem, random_hermitian, random_unit
+from zenodark.kernels import discrete_loop
+
+from conftest import (
+    commuting_problem,
+    comoving_hamiltonian,
+    random_hermitian,
+    random_unit,
+    three_level_frequencies,
+)
 
 
 def restricted_complement_eigenvalues(K, f0):
@@ -25,24 +33,31 @@ def restricted_complement_eigenvalues(K, f0):
     return np.linalg.eigvalsh(B.conj().T @ (P @ K @ P) @ B)
 
 
+def one_step(psi, path, H, tau):
+    """State after one measurement step of a discrete run."""
+    return zd.discrete_dark_run(psi, path, H, tau, 1).states[1]
+
+
 class TestDiscreteStep:
     def test_orthogonal_monitored_state_is_identity(self):
         psi = np.array([1.0, 0.0, 0.0], dtype=complex)
         f = np.array([0.0, 1.0, 0.0], dtype=complex)
-        out = zd.discrete_dark_step(psi, f, np.zeros((3, 3)), 0.1)
+        out = one_step(psi, zd.GeneratorPath(np.zeros((3, 3)), f), np.zeros((3, 3)), 0.1)
         np.testing.assert_allclose(out, psi, atol=1e-14)
 
     def test_full_absorption(self):
+        # a run rejects psi = f at setup, so apply the kernel's step directly
         psi = np.array([0.0, 1.0], dtype=complex)
-        out = zd.discrete_dark_step(psi, psi, np.zeros((2, 2)), 0.1)
+        out = discrete_loop(np.eye(2, dtype=complex), psi[None], psi)[0][1]
         np.testing.assert_allclose(out, 0.0, atol=1e-14)
 
     def test_partial_overlap_norm(self):
-        # hand evaluation: surviving squared norm is 1 - sin(theta)^2
+        # hand evaluation: f(1) = (-sin theta, cos theta) starting from
+        # f(0) = (0, 1), so the surviving squared norm is 1 - sin(theta)^2
         theta = 0.1
         psi = np.array([1.0, 0.0], dtype=complex)
-        f = np.array([math.sin(theta), math.cos(theta)], dtype=complex)
-        out = zd.discrete_dark_step(psi, f, np.zeros((2, 2)), 1.0)
+        path = zd.GeneratorPath(theta * np.array([[0.0, -1j], [1j, 0.0]]), [0.0, 1.0])
+        out = one_step(psi, path, np.zeros((2, 2)), 1.0)
         norm_sq = float(np.linalg.norm(out) ** 2)
         assert norm_sq == pytest.approx(1.0 - math.sin(theta) ** 2, abs=1e-12)
         assert norm_sq == pytest.approx(0.990033, abs=1e-6)
@@ -50,8 +65,11 @@ class TestDiscreteStep:
     def test_norm_never_increases(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 6))
+            path = zd.GeneratorPath(random_hermitian(rng, n), random_unit(rng, n))
+            f_tau = path.evaluate(0.3)[0]
             psi = random_unit(rng, n)
-            out = zd.discrete_dark_step(psi, random_unit(rng, n), random_hermitian(rng, n), 0.3)
+            psi = psi - np.vdot(f_tau, psi) * f_tau
+            out = one_step(psi / np.linalg.norm(psi), path, random_hermitian(rng, n), 0.3)
             assert np.linalg.norm(out) <= 1.0 + 1e-12
 
 
@@ -269,7 +287,7 @@ class TestContinuousRun:
         comoving = [phi]
         for s in range(steps):
             mid = (s + 0.5) * dt
-            Ht = zd.comoving_hamiltonian(H, tl.K, tl.f0, mid)
+            Ht = comoving_hamiltonian(H, tl.K, tl.f0, mid)
             phi = unitary_exp(Ht, dt) @ phi
             comoving.append(phi)
         for idx in (500, 1500, steps):
@@ -280,10 +298,13 @@ class TestContinuousRun:
 
 
 class TestComovingHamiltonian:
+    """The co-moving oracle of ``test_comoving_frame_equivalence``, checked
+    against hand evaluations."""
+
     def test_equal_generator_and_hamiltonian_cancel(self, rng):
         K = random_hermitian(rng, 4)
         f0 = random_unit(rng, 4)
-        out = zd.comoving_hamiltonian(K, K, f0, t=0.7)
+        out = comoving_hamiltonian(K, K, f0, t=0.7)
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_zero_hamiltonian_time_independent(self, rng):
@@ -293,7 +314,7 @@ class TestComovingHamiltonian:
         expected = -P @ K @ P
         for t in (0.0, 0.9, 7.3):
             np.testing.assert_allclose(
-                zd.comoving_hamiltonian(np.zeros((3, 3)), K, f0, t), expected, atol=1e-12
+                comoving_hamiltonian(np.zeros((3, 3)), K, f0, t), expected, atol=1e-12
             )
 
     def test_commuting_diagonal_case(self, rng):
@@ -304,14 +325,14 @@ class TestComovingHamiltonian:
         expected = P @ (H - K) @ P
         for t in (0.0, 1.3, 4.0):
             np.testing.assert_allclose(
-                zd.comoving_hamiltonian(H, K, f0, t), expected, atol=1e-12
+                comoving_hamiltonian(H, K, f0, t), expected, atol=1e-12
             )
 
     def test_annihilates_monitored_state(self, rng):
         K = random_hermitian(rng, 4)
         H = random_hermitian(rng, 4)
         f0 = random_unit(rng, 4)
-        out = zd.comoving_hamiltonian(H, K, f0, 0.4)
+        out = comoving_hamiltonian(H, K, f0, 0.4)
         assert np.abs(out @ f0).max() <= 1e-12
         assert np.abs(f0.conj() @ out).max() <= 1e-12
 
@@ -358,43 +379,61 @@ class TestZenoSpectrum:
             zd.zeno_spectrum(H, K, f0, psi0)
 
 
+def three_level_spectrum(a, Omega):
+    """Emergent frequencies of ``zeno_spectrum`` for H = 0, K = diag(Omega), f0 = a."""
+    a = np.asarray(a, dtype=complex)
+    psi0 = np.cross(a.conj(), [1.0, 2.0, 3.0])  # <a|psi0> = 0
+    psi0 /= np.linalg.norm(psi0)
+    return zd.zeno_spectrum(np.zeros((3, 3)), np.diag(Omega), a, psi0).frequencies
+
+
 class TestThreeLevelFrequencies:
+    """The N = 3 closed form: the oracle against hand evaluations and the
+    numerical restriction, and ``zeno_spectrum`` against the oracle."""
+
     def test_equal_amplitude_case(self):
-        r = zd.three_level_frequencies(np.ones(3) / np.sqrt(3), [0.0, 1.0, 2.0])
-        assert r.trace == pytest.approx(2.0, abs=1e-12)
-        assert r.determinant == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert r.omega_plus == pytest.approx(1.0 + 3**-0.5, abs=1e-12)
-        assert r.omega_minus == pytest.approx(1.0 - 3**-0.5, abs=1e-12)
+        lo, hi = three_level_frequencies(np.ones(3) / np.sqrt(3), [0.0, 1.0, 2.0])
+        assert lo + hi == pytest.approx(2.0, abs=1e-12)  # trace
+        assert lo * hi == pytest.approx(2.0 / 3.0, abs=1e-12)  # determinant
+        assert hi == pytest.approx(1.0 + 3**-0.5, abs=1e-12)
+        assert lo == pytest.approx(1.0 - 3**-0.5, abs=1e-12)
+        spectrum = three_level_spectrum(np.ones(3) / np.sqrt(3), [0.0, 1.0, 2.0])
+        np.testing.assert_allclose(spectrum, [-hi, -lo], atol=1e-12)
 
     def test_matches_numerical_restriction(self):
         a = np.ones(3) / np.sqrt(3)
         eigs = restricted_complement_eigenvalues(np.diag([0.0, 1.0, 2.0]), a.astype(complex))
-        r = zd.three_level_frequencies(a, [0.0, 1.0, 2.0])
-        np.testing.assert_allclose(eigs, [r.omega_minus, r.omega_plus], atol=1e-10)
+        np.testing.assert_allclose(eigs, three_level_frequencies(a, [0.0, 1.0, 2.0]), atol=1e-10)
 
     def test_degenerate_generator(self):
-        r = zd.three_level_frequencies([0.6, 0.8, 0.0], [1.5, 1.5, 1.5])
-        assert r.omega_plus == pytest.approx(1.5, abs=1e-12)
-        assert r.omega_minus == pytest.approx(1.5, abs=1e-12)
+        lo, hi = three_level_frequencies([0.6, 0.8, 0.0], [1.5, 1.5, 1.5])
+        assert hi == pytest.approx(1.5, abs=1e-12)
+        assert lo == pytest.approx(1.5, abs=1e-12)
+        np.testing.assert_allclose(
+            three_level_spectrum([0.6, 0.8, 0.0], [1.5, 1.5, 1.5]), -1.5, atol=1e-12
+        )
 
     def test_monitored_state_is_a_mode(self):
-        r = zd.three_level_frequencies([1.0, 0.0, 0.0], [7.0, 2.0, 3.0])
-        assert r.omega_plus == pytest.approx(3.0, abs=1e-12)
-        assert r.omega_minus == pytest.approx(2.0, abs=1e-12)
+        lo, hi = three_level_frequencies([1.0, 0.0, 0.0], [7.0, 2.0, 3.0])
+        assert hi == pytest.approx(3.0, abs=1e-12)
+        assert lo == pytest.approx(2.0, abs=1e-12)
+        np.testing.assert_allclose(
+            three_level_spectrum([1.0, 0.0, 0.0], [7.0, 2.0, 3.0]), [-3.0, -2.0], atol=1e-12
+        )
 
     def test_oracle_agreement_randomized(self, rng):
         for _ in range(1000):
             a = random_unit(rng, 3)
             Omega = rng.uniform(-5.0, 5.0, 3)
-            r = zd.three_level_frequencies(a, Omega)
+            lo, hi = three_level_frequencies(a, Omega)
             eigs = restricted_complement_eigenvalues(np.diag(Omega), a)
-            np.testing.assert_allclose(
-                eigs, [r.omega_minus, r.omega_plus], atol=1e-10
-            )
+            np.testing.assert_allclose(eigs, [lo, hi], atol=1e-10)
+            np.testing.assert_allclose(three_level_spectrum(a, Omega), [-hi, -lo], atol=1e-10)
 
     def test_rejects_unnormalized(self):
+        # the spectrum's one home checks the monitored state's norm
         with pytest.raises(InputError):
-            zd.three_level_frequencies([1.0, 1.0, 0.0], [0.0, 1.0, 2.0])
+            three_level_spectrum([1.0, 1.0, 0.0], [0.0, 1.0, 2.0])
 
 
 class TestClosedForm:

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
+import zenodark as zd
 from zenodark.errors import HermiticityError, InputError, NormalizationError
 from zenodark.linalg import (
     as_operator,
     as_state,
     hermitian_eigendecomposition,
-    projector_from_state,
     unitary_exp,
 )
 
-from conftest import random_hermitian, random_unit
+from conftest import projector, random_hermitian, random_unit
 
 
 def taylor_expm(A, t, terms=20):
@@ -111,36 +111,44 @@ class TestUnitaryExp:
         np.testing.assert_allclose(U @ U.conj().T, np.eye(5), atol=1e-12)
 
 
+def measurement_projector(f):
+    """The library's measurement projector ``1 - |f><f|``: the effective
+    Hamiltonian of ``H = 1`` for a resting monitored state ``f``."""
+    n = np.size(f)
+    return zd.effective_hamiltonian(np.eye(n), f, np.zeros(n))
+
+
 class TestProjector:
     def test_basis_state(self):
-        P = projector_from_state(np.array([1.0, 0.0, 0.0]))
+        P = measurement_projector(np.array([1.0, 0.0, 0.0]))
         np.testing.assert_allclose(P, np.diag([0.0, 1.0, 1.0]), atol=1e-14)
 
     def test_real_superposition(self):
-        P = projector_from_state(np.array([1.0, 1.0]) / np.sqrt(2.0))
+        P = measurement_projector(np.array([1.0, 1.0]) / np.sqrt(2.0))
         np.testing.assert_allclose(P, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-14)
 
     def test_complex_superposition(self):
-        P = projector_from_state(np.array([1.0, 1j]) / np.sqrt(2.0))
+        P = measurement_projector(np.array([1.0, 1j]) / np.sqrt(2.0))
         np.testing.assert_allclose(P, [[0.5, 0.5j], [-0.5j, 0.5]], atol=1e-14)
 
     def test_idempotent_and_annihilating(self, rng):
         for _ in range(200):
             n = int(rng.integers(2, 9))
             f = random_unit(rng, n)
-            P = projector_from_state(f)
+            P = measurement_projector(f)
             assert np.abs(P @ P - P).max() <= 1e-12
             assert np.abs(P @ f).max() <= 1e-12
+            assert np.abs(P - projector(f)).max() <= 1e-12
 
     def test_rank_and_spectrum(self, rng):
         f = random_unit(rng, 5)
-        P = projector_from_state(f)
+        P = measurement_projector(f)
         eigs = np.linalg.eigvalsh(P)
         assert np.abs(eigs - np.concatenate([[0.0], np.ones(4)])).max() <= 1e-10
 
     def test_rejects_non_unit(self):
         with pytest.raises(NormalizationError):
-            projector_from_state(np.array([1.0, 1.0]))
+            measurement_projector(np.array([1.0, 1.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -160,11 +160,8 @@ def traced_peak(fn):
 WINDOW_ALLOWANCE = 2 << 20
 
 
-def test_long_run_holds_its_rows_and_one_window():
-    psi0, path, _ = problem("generator", 3)
-    traj, peak = traced_peak(
-        lambda: zd.continuous_dark_run(psi0, path, np.zeros((3, 3)), 200.0, DT)
-    )
+def assert_holds_its_rows_and_one_window(run):
+    traj, peak = traced_peak(run)
     assert traj.times.size == 200_001
     held = sum(
         a.nbytes
@@ -177,6 +174,19 @@ def test_long_run_holds_its_rows_and_one_window():
         )
     )
     assert peak <= held + WINDOW_ALLOWANCE
+
+
+def test_long_run_holds_its_rows_and_one_window():
+    psi0, path, _ = problem("generator", 3)
+    assert_holds_its_rows_and_one_window(
+        lambda: zd.continuous_dark_run(psi0, path, np.zeros((3, 3)), 200.0, DT)
+    )
+
+
+def test_long_closed_form_run_holds_its_rows_and_one_window():
+    # evaluating the whole grid at once held 32 MiB above the rows
+    psi0, path, H = problem("generator", 3)
+    assert_holds_its_rows_and_one_window(lambda: zd.closed_form_run(psi0, path, H, 200.0, DT))
 
 
 class Sink:
