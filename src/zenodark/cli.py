@@ -17,7 +17,8 @@ so a file whose blocks contradict each other fails under every command.
 Sweep points run one after another in the calling thread and are reported in
 the order the scenario lists them.  An ``E`` sweep integrates one dark
 reference per distinct refined step: points whose refined step is the same
-read their rows from one reference run.
+read their rows from one reference run.  The reference keeps its states
+only: no grid sample of f, no norms, overlaps or times.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import numpy as np
 
 from .design import design_monitored_state, phase_diagnostics
 from .dynamics import (
+    _continuous_rows,
     closed_form_run,
     closed_form_solution,
     closed_form_states,
@@ -87,8 +89,11 @@ def _dark_deviations(scenario: Scenario, tol: ToleranceProfile, points):
     A point's reference is the dark run at ``dt`` refined to a step at or
     below ``_REFERENCE_DT``, read at every ``refine``-th row.  Points with the
     same refined step share one reference run, integrated once and released
-    before the next step's.  Yields ``(index, trajectory, deviation)`` grouped
-    by refined step.
+    before the next step's.  The reference keeps its states only: it runs the
+    windows and kernel of :func:`continuous_dark_run`, with the same input
+    checks, but samples no grid and computes no norms or overlaps, so its
+    states are bitwise that run's.  Yields ``(index, trajectory, deviation)``
+    grouped by refined step.
     """
     run = scenario.run
     psi0, path, H = scenario.initial_state, scenario.path, scenario.hamiltonian
@@ -102,7 +107,7 @@ def _dark_deviations(scenario: Scenario, tol: ToleranceProfile, points):
             energy, dt = points[i]
             traj = embedded_run(psi0, path, energy, run.T, dt, tol=tol)
             if reference is None:
-                reference = continuous_dark_run(psi0, path, H, run.T, step, tol=tol).states
+                [reference] = _continuous_rows(psi0, path, H, run.T, step, tol, grid=False)
             gap = 0.0
             for a, b in windows(traj.times.size, traj.dim):
                 rows = traj.dark_states[a:b] - reference[a * refine : b * refine : refine]

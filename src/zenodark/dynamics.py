@@ -183,6 +183,7 @@ def discrete_dark_run(
         if a == 0:
             drift = 2.0 * tau * float(np.linalg.norm(fdot_seq[0]))
             require_orthogonal(f_seq[0], psi0, tol, drift=drift)
+        del fdot_seq  # the kernel reads f only
         return kernels.discrete_loop(U, f_seq, psi)
 
     states, norms, orth = run_windows(psi0, M, advance)
@@ -216,6 +217,31 @@ def effective_hamiltonian(H, f, fdot, tol: ToleranceProfile = DEFAULT) -> np.nda
     return kernels.effective_hamiltonians(H, f[None], fdot[None])[0]
 
 
+def _continuous_rows(
+    psi0, path: MonitoredPath, H, T: float, dt: float, tol: ToleranceProfile, grid: bool
+) -> list[np.ndarray]:
+    """Rows ``0 .. steps`` of the exponential-midpoint run, window by window.
+
+    Checks ``psi0`` (unit), ``H`` (Hermitian), the step count and
+    ``<f(0)|psi0>``, then samples ``f`` and ``fdot`` at each window's
+    midpoints for the continuous kernel.  Returns ``[states]``; with ``grid``,
+    the path is also sampled on the grid and ``[states, norms, orth]`` holds
+    the norms and the overlaps ``|<f(t)|psi(t)>|``.
+    """
+    psi0 = require_unit(psi0, tol, name="initial state")
+    H = np.ascontiguousarray(require_hermitian(H, tol, name="hamiltonian"))
+    steps = step_count(T, dt, psi0.size)
+
+    def advance(a, b, psi):
+        f_grid = path.evaluate_many(dt * np.arange(a, b + 1))[0] if grid else None
+        f_mid, fdot_mid = path.evaluate_many(dt * (np.arange(a, b) + 0.5))
+        if a == 0:
+            require_orthogonal(f_grid[0] if grid else path.evaluate(0.0)[0], psi0, tol)
+        return kernels.continuous_loop(H, f_grid, f_mid, fdot_mid, psi, float(dt))
+
+    return run_windows(psi0, steps, advance)
+
+
 def continuous_dark_run(
     psi0,
     path: MonitoredPath,
@@ -239,23 +265,9 @@ def continuous_dark_run(
     OrthogonalityError
         If ``<f(0)|psi0>`` exceeds the setup tolerance.
     """
-    psi0 = require_unit(psi0, tol, name="initial state")
-    H = require_hermitian(H, tol, name="hamiltonian")
-    steps = step_count(T, dt, psi0.size)
-
-    times = dt * np.arange(steps + 1)
-    H = np.ascontiguousarray(H)
-
-    def advance(a, b, psi):
-        f_grid, _ = path.evaluate_many(times[a : b + 1])
-        f_mid, fdot_mid = path.evaluate_many(dt * (np.arange(a, b) + 0.5))
-        if a == 0:
-            require_orthogonal(f_grid[0], psi0, tol)
-        return kernels.continuous_loop(H, f_grid, f_mid, fdot_mid, psi, float(dt))
-
-    states, norms, orth = run_windows(psi0, steps, advance)
+    states, norms, orth = _continuous_rows(psi0, path, H, T, dt, tol, grid=True)
     return DarkTrajectory(
-        times=times,
+        times=dt * np.arange(states.shape[0]),
         states=states,
         norms=norms,
         survival_probability=norms**2,
@@ -380,7 +392,7 @@ def closed_form_run(
 
     def advance(a, b, psi):
         states = states_at(times[a : b + 1])
-        f_grid, _ = path.evaluate_many(times[a : b + 1])
+        f_grid = path.evaluate_many(times[a : b + 1])[0]
         orth = np.abs(np.einsum("ij,ij->i", f_grid.conj(), states))
         return states, np.linalg.norm(states, axis=1), orth
 

@@ -69,8 +69,8 @@ def embedded_run(
     times = dt * np.arange(steps + 1)
 
     def advance(a, b, psi):
-        f_grid, _ = path.evaluate_many(times[a : b + 1])
-        f_mid, _ = path.evaluate_many(dt * (np.arange(a, b) + 0.5))
+        f_grid = path.evaluate_many(times[a : b + 1])[0]
+        f_mid = path.evaluate_many(dt * (np.arange(a, b) + 0.5))[0]
         if a == 0:
             require_orthogonal(f_grid[0], psi0, tol)
         full = kernels.embedded_loop(f_mid, psi, float(energy), float(dt))

@@ -114,7 +114,9 @@ class ModePath(MonitoredPath):
         self._tol = tol
 
     def _sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        phased = np.exp(-1j * np.outer(ts, self.frequencies)) * self.amplitudes
+        phased = -1j * np.outer(ts, self.frequencies)
+        np.exp(phased, out=phased)
+        phased *= self.amplitudes
         fdot = phased * (-1j * self.frequencies)
         if self._standard_basis:  # the identity product would only flip signed zeros
             return phased, fdot

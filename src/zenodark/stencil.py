@@ -83,12 +83,19 @@ def moving_average(series: np.ndarray, window: int) -> tuple[np.ndarray, slice]:
     ``window`` is clamped to an odd count of at least 1, and may not exceed
     the length of the series, so at least one point is fully covered.  Works
     on complex series; edge points without full coverage are excluded by the
-    returned slice.
+    returned slice (their sums, over the samples they cover, are still
+    divided by the full window).  Each mean is a difference of two cumulative
+    sums, so the cost is O(n) whatever the window; it agrees with the direct
+    sum to rounding of the running total.  A non-finite sample makes every
+    later mean non-finite, not only the windows that hold it.
     """
     series = np.asarray(series)
     w = max(1, int(window)) | 1
-    if w > series.shape[0]:
-        raise ValueError(f"window of {w} points longer than the series of {series.shape[0]}")
-    smooth = np.convolve(series, np.ones(w) / w, mode="same")
+    n = series.shape[0]
+    if w > n:
+        raise ValueError(f"window of {w} points longer than the series of {n}")
     half = w // 2
-    return smooth, slice(half, series.shape[0] - half)
+    # sums[i] is the total of series[:edge] with edge = i - half clipped to 0 .. n
+    sums = np.concatenate(([0.0], np.cumsum(series)))
+    sums = sums[np.clip(np.arange(-half, n + half + 1), 0, n)]
+    return (sums[w:] - sums[:-w]) / w, slice(half, n - half)

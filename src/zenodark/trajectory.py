@@ -6,8 +6,9 @@ separator, '\\n' line endings, and a versioned header comment beginning
 ``#schema=1`` that lists the column order.  :func:`write_rows` writes every
 CSV the package produces: trajectories and the CLI's sweep tables.
 
-:func:`write_rows` copies the columns it is given into a buffer of 1,024
-rows and formats it with array operations, a block at a time.  Each value's
+:func:`write_rows` copies the columns it is given into a buffer of whole
+rows, about 10,240 values, and formats it with array operations, a block at
+a time.  Each value's
 17 significant digits come from an error-free double-double product with a
 tabulated power of ten, rounded to nearest once the decimal exponent is
 fixed from the unrounded product.  The characters are laid out in one fixed
@@ -265,8 +266,9 @@ def _format_block(x, line_start, frame, keep):
     return frame[keep]
 
 
-# Rows formatted at a time: the scratch arrays stay within a few MB.
-_CSV_BLOCK_ROWS = 1024
+# Values formatted at a time, in whole rows: the scratch arrays stay within a
+# few MB whatever the table's length or width (1,024 rows of 10 columns).
+_CSV_BLOCK_VALUES = 10_240
 
 
 def write_rows(stream, columns: list[str], *blocks) -> None:
@@ -283,14 +285,15 @@ def write_rows(stream, columns: list[str], *blocks) -> None:
     blocks = [b[:, None] if b.ndim == 1 else b for b in blocks]
     m = blocks[0].shape[0]
     edges = np.cumsum([0] + [b.shape[1] for b in blocks])
-    rows = np.empty((min(m, _CSV_BLOCK_ROWS), edges[-1]))
+    block_rows = max(1, _CSV_BLOCK_VALUES // int(edges[-1]))
+    rows = np.empty((min(m, block_rows), edges[-1]))
     line_start = np.zeros(rows.shape, np.intp)
     line_start[:, 0] = _LINE_START
     line_start = line_start.ravel()
     frame = np.empty((line_start.size, _WIDTH), np.uint8)
     keep = np.empty(frame.shape, bool)
-    for start in range(0, m, _CSV_BLOCK_ROWS):
-        k = min(_CSV_BLOCK_ROWS, m - start)
+    for start in range(0, m, block_rows):
+        k = min(block_rows, m - start)
         for block, a, b in zip(blocks, edges[:-1], edges[1:]):
             rows[:k, a:b] = block[start : start + k]
         size = rows[:k].size

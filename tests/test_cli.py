@@ -15,6 +15,7 @@ import pytest
 import zenodark as zd
 import zenodark.cli
 from zenodark.cli import main, run_scenario, run_sweep
+from zenodark.dynamics import _continuous_rows as continuous_rows
 from zenodark.scenario import load_scenario
 
 S3 = 3**-0.5
@@ -440,11 +441,11 @@ class TestSweepCommand:
 
         def counted(*args, **kwargs):
             assert all(ref() is None for ref in alive)
-            traj = zd.continuous_dark_run(*args, **kwargs)
-            alive.append(weakref.ref(traj.states))
-            return traj
+            rows = continuous_rows(*args, **kwargs)
+            alive.append(weakref.ref(rows[0]))
+            return rows
 
-        monkeypatch.setattr(zenodark.cli, "continuous_dark_run", counted)
+        monkeypatch.setattr(zenodark.cli, "_continuous_rows", counted)
         assert main(["sweep", self.energy_sweep(tmp_path, values), "--quiet"]) == 0
         assert len(alive) == references
 
@@ -453,12 +454,36 @@ class TestSweepCommand:
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return zd.continuous_dark_run(*args, **kwargs)
+            return continuous_rows(*args, **kwargs)
 
-        monkeypatch.setattr(zenodark.cli, "continuous_dark_run", counted)
+        monkeypatch.setattr(zenodark.cli, "_continuous_rows", counted)
         config = str(SCENARIOS / "embedding_energy_sweep.json")
         assert main(["sweep", config, "--quiet", "--out", str(tmp_path)]) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("values", [None, [50.0, 150.27, 100.0, 300.0, 400.0]])
+    def test_energy_sweep_reference_is_the_dark_run_states(self, tmp_path, monkeypatch, values):
+        # the states-only reference is bitwise the states of continuous_dark_run,
+        # on the committed sweep (one refined step) and on three refined steps
+        references = []
+
+        def kept(*args, **kwargs):
+            rows = continuous_rows(*args, **kwargs)
+            references.append((args, kwargs, rows))
+            return rows
+
+        monkeypatch.setattr(zenodark.cli, "_continuous_rows", kept)
+        if values is None:
+            config = str(SCENARIOS / "embedding_energy_sweep.json")
+            assert main(["sweep", config, "--quiet", "--out", str(tmp_path)]) == 0
+        else:
+            assert main(["sweep", self.energy_sweep(tmp_path, values), "--quiet"]) == 0
+        assert len(references) == (1 if values is None else 3)
+        for (psi0, path, H, T, step, tol), kwargs, rows in references:
+            assert kwargs == {"grid": False} and len(rows) == 1
+            states = zd.continuous_dark_run(psi0, path, H, T, step, tol=tol).states
+            assert rows[0].shape == states.shape
+            assert np.array_equal(rows[0].view(np.uint64), states.view(np.uint64))
 
     def test_energy_sweep_points_equal_their_own_runs(self, tmp_path):
         # each point's metric, computed here from the library alone: the

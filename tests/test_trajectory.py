@@ -5,12 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zenodark.trajectory import (
-    _CSV_BLOCK_ROWS,
+    _CSV_BLOCK_VALUES,
     DarkTrajectory,
     EmbeddedTrajectory,
     format_float,
     write_rows,
 )
+
+
+def block_rows(n):
+    # rows the writer formats at a time in a table of n columns
+    return max(1, _CSV_BLOCK_VALUES // n)
+
+
+# a block of the 10-column trajectory CSVs
+_CSV_BLOCK_ROWS = block_rows(10)
 
 
 def written(rows, columns=None):
@@ -167,10 +176,20 @@ def test_block_edges(rng, m, n):
     assert written(rows) == expected(rows)
 
 
+@pytest.mark.parametrize("n", [1, 3, 132, _CSV_BLOCK_VALUES + 1])
+def test_block_edges_at_every_width(rng, n):
+    # a block holds whole rows, as many as fit in its values, and one at least
+    k = block_rows(n)
+    assert k * n <= max(n, _CSV_BLOCK_VALUES) < (k + 1) * n
+    for m in (k - 1, k, k + 1, 2 * k + 1):
+        rows = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-30, 30, (m, n))
+        assert written(rows) == expected(rows)
+
+
 def test_fallback_text_does_not_leak_into_the_next_block(rng):
     # a first block of the longest fallback texts, then ordinary values
-    rows = rng.standard_normal((2 * _CSV_BLOCK_ROWS, 3))
-    rows[:_CSV_BLOCK_ROWS] = -2.2250738585072009e-308
+    rows = rng.standard_normal((2 * block_rows(3), 3))
+    rows[: block_rows(3)] = -2.2250738585072009e-308
     assert written(rows) == expected(rows)
 
 
