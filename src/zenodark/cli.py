@@ -16,9 +16,9 @@ so a file whose blocks contradict each other fails under every command.
 
 Sweep points run one after another in the calling thread and are reported in
 the order the scenario lists them.  An ``E`` sweep integrates one dark
-reference per distinct refined step: points whose refined step is the same
-read their rows from one reference run.  The reference keeps its states
-only: no grid sample of f, no norms, overlaps or times.
+reference per distinct refined step count: points whose refined grids have
+the same step count read their rows from one reference run.  The reference
+keeps its states only: no grid sample of f, no norms, overlaps or times.
 """
 
 from __future__ import annotations
@@ -87,22 +87,26 @@ def _dark_deviations(scenario: Scenario, tol: ToleranceProfile, points):
     """Embedded run at each ``(E, dt)`` point and its deviation from the dark run.
 
     A point's reference is the dark run at ``dt`` refined to a step at or
-    below ``_REFERENCE_DT``, read at every ``refine``-th row.  Points with the
-    same refined step share one reference run, integrated once and released
-    before the next step's.  The reference keeps its states only: it runs the
-    windows and kernel of :func:`continuous_dark_run`, with the same input
-    checks, but samples no grid and computes no norms or overlaps, so its
-    states are bitwise that run's.  Yields ``(index, trajectory, deviation)``
-    grouped by refined step.
+    below ``_REFERENCE_DT``, read at every ``refine``-th row.  Points whose
+    refined grids have the same step count share one reference run, at the
+    first such point's ``dt / refine``, integrated once and released before
+    the next count's: two points' ``dt / refine`` of one count may differ in
+    the last bit.  The reference keeps its states only: it runs the windows
+    and kernel of :func:`continuous_dark_run`, with the same input checks,
+    but samples no grid and computes no norms or overlaps, so its states are
+    bitwise that run's.  Yields ``(index, trajectory, deviation)`` grouped by
+    refined step count.
     """
     run = scenario.run
     psi0, path, H = scenario.initial_state, scenario.path, scenario.hamiltonian
-    groups: dict[float, list[tuple[int, int]]] = {}  # step -> (index, refine)
+    groups: dict[int, list[tuple[int, int]]] = {}  # step count -> (index, refine)
     for i, (_, dt) in enumerate(points):
         refine = max(1, int(np.ceil(dt / _REFERENCE_DT - 1e-12)))
-        groups.setdefault(dt / refine, []).append((i, refine))
-    for step, members in groups.items():
-        reference = None  # drops the previous step's reference before this one's
+        groups.setdefault(refine * round(run.T / dt), []).append((i, refine))
+    for members in groups.values():
+        first, refine = members[0]
+        step = points[first][1] / refine
+        reference = None  # drops the previous count's reference before this one's
         for i, refine in members:
             energy, dt = points[i]
             traj = embedded_run(psi0, path, energy, run.T, dt, tol=tol)

@@ -7,8 +7,8 @@ separator, '\\n' line endings, and a versioned header comment beginning
 CSV the package produces: trajectories and the CLI's sweep tables.
 
 :func:`write_rows` copies the columns it is given into a buffer of whole
-rows, about 10,240 values, and formats it with array operations, a block at
-a time.  Each value's
+rows, about 5,120 values, and formats it with array operations, a block at
+a time, in stages whose temporaries are released on return.  Each value's
 17 significant digits come from an error-free double-double product with a
 tabulated power of ten, rounded to nearest once the decimal exponent is
 fixed from the unrounded product.  The characters are laid out in one fixed
@@ -186,21 +186,32 @@ _KEEP = _keep_masks()
 
 def _scaled(a, k):
     """``a * 10**(16 - k)`` as an integer-valued double plus a small rest."""
+    # each product goes into an array after that array's last read: the
+    # same operations in the same order, holding seven arrays of len(a)
     i = 16 - _P_MIN - k
     hi, hi_hi, hi_lo, lo = (np.take(table, i) for table in _POW10_TABLES)
+    del i
     c = _SPLIT * a
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    whole = a * hi
-    error = ((a_hi * hi_hi - whole) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo
-    return whole, error + a * lo
+    a_hi = c - a
+    np.subtract(c, a_hi, out=a_hi)  # c - (c - a)
+    a_lo = np.subtract(a, a_hi, out=c)
+    whole = np.multiply(a, hi, out=hi)
+    # ((a_hi hi_hi - whole) + a_hi hi_lo + a_lo hi_hi) + a_lo hi_lo + a lo
+    error = a_hi * hi_hi
+    error -= whole
+    error += np.multiply(a_hi, hi_lo, out=a_hi)
+    error += np.multiply(a_lo, hi_hi, out=hi_hi)
+    error += np.multiply(a_lo, hi_lo, out=hi_lo)
+    error += np.multiply(a, lo, out=lo)
+    return whole, error
 
 
-def _format_block(x, line_start, frame, keep):
-    """The ASCII text of the flat float64 values ``x``, each after its separator.
+def _decimal(x):
+    """``(D, exponent, fast, zero)`` of the flat float64 values ``x``.
 
-    ``line_start`` is _LINE_START for a value that starts a line, else 0;
-    ``frame`` and ``keep`` are scratch of one _WIDTH-byte row per value.
+    ``D`` is the 17-digit integer of ``|x|``, ``exponent`` its decimal
+    exponent as an index into the tables, ``fast`` whether the frame writes
+    the value (else :func:`format_float` does) and ``zero`` whether it is 0.
     """
     a = np.abs(x)
     zero = a == 0.0
@@ -211,28 +222,42 @@ def _format_block(x, line_start, frame, keep):
     whole, rest = _scaled(a, k)
     # log10 can miss by one next to a power of ten: move k until the
     # unrounded value lies in [10**16, 10**17)
-    floored = whole.astype(np.int64) + np.floor(rest).astype(np.int64)
-    shift = (floored >= 10**17).astype(np.intp) - (floored < 10**16)
+    floored = whole.astype(np.int64)
+    floored += np.floor(rest).astype(np.int64)
+    shift = (floored >= 10**17).astype(np.intp)
+    shift -= floored < 10**16
     moved = np.flatnonzero(shift)
     if moved.size:
         k[moved] += shift[moved]
         whole[moved], rest[moved] = _scaled(a[moved], k[moved])
     floor = np.floor(rest)
-    frac = rest - floor
+    frac = np.subtract(rest, floor, out=rest)
     fast &= np.abs(frac - 0.5) >= _TIE_WINDOW
-    D = whole.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5)
+    D = whole.astype(np.int64)
+    D += floor.astype(np.int64)
+    D += frac > 0.5
     carry = D == 10**17
     D[carry] = 10**16
-    exponent = k + carry - _X_MIN  # the decimal exponent, as an index into the tables
+    k += carry
+    k -= _X_MIN  # the decimal exponent, as an index into the tables
+    return D, k, fast, zero
 
+
+def _fill_frame(x, line_start, frame):
+    """Lay out the characters of the values ``x`` in ``frame``.
+
+    Returns ``(key, fast)``: each value's row of _KEEP, and whether the
+    frame holds its text (else the caller writes the fallback text).
+    """
+    D, exponent, fast, zero = _decimal(x)
     upper = D // 10**8
-    lower = D - upper * 10**8
+    lower = np.subtract(D, upper * 10**8, out=D)
     g3 = lower // 10**4
-    g4 = lower - g3 * 10**4
+    g4 = np.subtract(lower, g3 * 10**4, out=lower)
     g0 = upper // 10**4
-    g2 = upper - g0 * 10**4
+    g2 = np.subtract(upper, g0 * 10**4, out=upper)
     lead = g0 // 10**4
-    g1 = g0 - lead * 10**4
+    g1 = np.subtract(g0, lead * 10**4, out=g0)
 
     # every block writes bytes 8-43, the '.' included: an earlier block's
     # fallback text may cover bytes 8-31
@@ -242,15 +267,32 @@ def _format_block(x, line_start, frame, keep):
     frame[:, 27] = ord(".")
     sign = np.signbit(x)
     words = frame.view(np.uint64)
-    prefix = line_start + 50 * sign + np.take(_PREFIX_OF, exponent) + lead - zero
+    prefix = line_start + 50 * sign
+    prefix += np.take(_PREFIX_OF, exponent)
+    prefix += lead
+    prefix -= zero
     words[:, 0] = np.take(_PREFIX_WORDS, prefix)
+    del lead, prefix, zero
     words[:, 6] = np.take(_EXPONENT_WORDS, exponent)
 
     zeros = np.take(_TRAILING_ZEROS4, g1)
     for group in (g2, g3, g4):
         zeros = np.where(group == 0, zeros + 4, np.take(_TRAILING_ZEROS4, group))
-    key = np.take(_LAYOUT_OF, exponent) - zeros + sign * (_LAYOUTS * _COUNTS)
+    key = np.take(_LAYOUT_OF, exponent)
+    key -= zeros
+    key += sign * (_LAYOUTS * _COUNTS)
+    return key, fast
 
+
+def _format_block(x, line_start, frame, keep):
+    """The ASCII text of the flat float64 values ``x``, each after its separator.
+
+    ``line_start`` is _LINE_START for a value that starts a line, else 0;
+    ``frame`` and ``keep`` are scratch of one _WIDTH-byte row per value.
+    Each stage releases its arrays on return, so no more than one stage's
+    temporaries are held at a time.
+    """
+    key, fast = _fill_frame(x, line_start, frame)
     slow = np.flatnonzero(~fast)
     if slow.size:
         texts = [format_float(v).encode() for v in x[slow].tolist()]
@@ -266,9 +308,11 @@ def _format_block(x, line_start, frame, keep):
     return frame[keep]
 
 
-# Values formatted at a time, in whole rows: the scratch arrays stay within a
-# few MB whatever the table's length or width (1,024 rows of 10 columns).
-_CSV_BLOCK_VALUES = 10_240
+# Values formatted at a time, in whole rows: the scratch stays within about
+# 1 MiB whatever the table's length or width (512 rows of 10 columns).
+# Blocks of twice the values take twice the scratch and write no faster;
+# blocks of half write slower.
+_CSV_BLOCK_VALUES = 5_120
 
 
 def write_rows(stream, columns: list[str], *blocks) -> None:
@@ -299,6 +343,7 @@ def write_rows(stream, columns: list[str], *blocks) -> None:
         size = rows[:k].size
         text = _format_block(rows[:k].ravel(), line_start[:size], frame[:size], keep[:size])
         stream.write(str(text, "ascii"))
+        del text  # not held while the next block is formatted
     stream.write("\n")
 
 

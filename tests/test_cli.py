@@ -430,13 +430,15 @@ class TestSweepCommand:
             ([50.0, 100.0, 150.27], 2),
             # 300 to about 1.111e-4, listed between points of the other steps
             ([50.0, 150.27, 100.0, 300.0, 400.0], 3),
+            # every point refines to 16,800 steps, at steps that differ in the last bit
+            ([105.0, 120.0, 140.0, 168.0], 1),
         ],
     )
     def test_energy_sweep_integrates_each_reference_once(
         self, tmp_path, monkeypatch, values, references
     ):
-        # one reference run per distinct refined step, and the previous one
-        # released before the next is integrated
+        # one reference run per distinct refined step count, and the previous
+        # one released before the next is integrated
         alive = []
 
         def counted(*args, **kwargs):
@@ -641,6 +643,34 @@ def test_steps_times_dimension_limit_exits_2(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert f"limit of {zd.dynamics.MAX_STEP_ROWS} steps x dimension" in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("run", "continuous_three_level"),
+        ("sweep", "discrete_tau_sweep"),
+        ("sweep", "embedding_energy_sweep"),
+        ("spectrum", "spectrum_three_level"),
+        ("design", "inverse_design"),
+    ],
+)
+def test_commands_do_not_import_numpy_ma(tmp_path, command, name):
+    # np.median imports numpy.ma for its NaN check, 1.3 MB and 11-14 ms a
+    # process; the design spacing took one median of 500 steps with it
+    script = (
+        "import sys; from zenodark.cli import main; "
+        "print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)"
+    )
+    config = str(SCENARIOS / f"{name}.json")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, command, config, "--quiet", "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -150,6 +150,15 @@ class TestGridTargets:
         grid = h * np.arange(int(round(2.0 / h)) + 1)
         return zd.design_monitored_state(traj, np.zeros((3, 3)), grid), exact
 
+    def test_spacing_is_the_median_step_bit_for_bit(self, rng):
+        # np.median's partition and mean, without its NaN check
+        from zenodark.design import _spacing
+
+        for size in [2, 3, 4, 5, 1000, 1001, *rng.integers(6, 1000, 40)]:
+            scale = 10.0 ** rng.uniform(-6.0, 1.0)
+            for grid in (np.cumsum(rng.exponential(scale, size)), scale * np.arange(size)):
+                assert _spacing(grid).hex() == float(np.median(np.diff(grid))).hex()
+
     def test_sampled_target_matches_mode_design_at_fourth_order(self):
         ts = np.linspace(0.1, 1.9, 7)
         errors = []

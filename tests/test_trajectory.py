@@ -169,14 +169,17 @@ def test_exponent_chosen_before_rounding():
     assert written(np.array([[1e-19]])).splitlines()[1] == "9.9999999999999998e-20"
 
 
-@pytest.mark.parametrize("m", [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
+# the edges of the second block: the first block's edge lies within them
+@pytest.mark.parametrize(
+    "m", [0, 1, 2 * _CSV_BLOCK_ROWS - 1, 2 * _CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS + 1]
+)
 @pytest.mark.parametrize("n", [1, 2, 10, 12])
 def test_block_edges(rng, m, n):
     rows = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-30, 30, (m, n))
     assert written(rows) == expected(rows)
 
 
-@pytest.mark.parametrize("n", [1, 3, 132, _CSV_BLOCK_VALUES + 1])
+@pytest.mark.parametrize("n", [1, 3, 132, 2 * _CSV_BLOCK_VALUES + 1])
 def test_block_edges_at_every_width(rng, n):
     # a block holds whole rows, as many as fit in its values, and one at least
     k = block_rows(n)

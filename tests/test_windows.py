@@ -133,14 +133,16 @@ def test_closed_form_solution_is_a_row_of_the_closed_form_run(kind):
 
 
 def test_windows_cover_the_count_in_whole_kernel_chunks():
+    from zenodark.dynamics import _WINDOW_CHUNKS
     from zenodark.kernels import _chunk_steps
 
-    for n, count in ((3, 1), (3, 7280), (3, 7281), (6, 10_000)):
+    width = _WINDOW_CHUNKS * _chunk_steps(3)
+    for n, count in ((3, 1), (3, width), (3, width + 1), (6, 10_000)):
         ranges = windows(count, n)
         assert ranges[0][0] == 0 and ranges[-1][1] == count
         assert all(b == c for (_, b), (c, _) in zip(ranges, ranges[1:]))
-        assert all((b - a) % (16 * _chunk_steps(n)) == 0 for a, b in ranges[:-1])
-    assert window(3) == 7280
+        assert all((b - a) % (_WINDOW_CHUNKS * _chunk_steps(n)) == 0 for a, b in ranges[:-1])
+    assert window(3) == width
 
 
 def traced_peak(fn):
@@ -225,3 +227,13 @@ def test_csv_writer_memory_does_not_grow_with_columns(rng):
         return traced_peak(lambda: write_rows(Sink(), columns, rows))[1]
 
     assert peak(1_000, 132) <= peak(13_200, 10) + (64 << 10)
+
+
+def test_csv_writer_scratch_for_a_design_run(rng):
+    # The 50,001 rows of a 50,000-step design run, 10 columns: one block's
+    # rows, frames, keep masks and text, and one stage's temporaries at a
+    # time.  Blocks of 10,240 values whose temporaries all lived to the end
+    # of the block peaked at 3.26 MiB.
+    rows = rng.standard_normal((50_001, 10))
+    columns = [f"c{j}" for j in range(10)]
+    assert traced_peak(lambda: write_rows(Sink(), columns, rows))[1] <= 1.6 * 2**20
