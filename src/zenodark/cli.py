@@ -10,21 +10,34 @@ commutation requirement).
 Every command runs through one runner: load the scenario, check what the
 command needs (``run`` a run block, ``sweep`` a sweep block, ``spectrum`` an
 ``initial_state``, ``design`` an ``inverse`` run), call the command's
-executor, write its ``(mode, metrics, extra, trajectory)``.  Every other
-rule about a file's contents is :func:`~zenodark.scenario.load_scenario`'s,
-so a file whose blocks contradict each other fails under every command.
+executor, write its ``(mode, metrics, extra)``.  Every other rule about a
+file's contents is :func:`~zenodark.scenario.load_scenario`'s, so a file
+whose blocks contradict each other fails under every command.
+
+A trajectory CSV is written while the run integrates.  The executors read
+each run's windows (:func:`~zenodark.dynamics.window_rows`) once: a window's
+rows go to the CSV and to the command's metrics, then are dropped, so a run
+keeps no rows beyond a window (an inverse design keeps one float per step
+for its geometric phase; an embedded run keeps its arrays, which its
+quasi-static check reads whole).  The CSV is made with the run's first
+window, after the run's own checks have passed.  A command that fails
+removes every file it wrote, and every directory it made, before it returns
+its exit code.
 
 Sweep points run one after another in the calling thread and are reported in
-the order the scenario lists them.  An ``E`` sweep integrates one dark
-reference per distinct refined step count: points whose refined grids have
-the same step count read their rows from one reference run.  The reference
-keeps its states only: no grid sample of f, no norms, overlaps or times.
+the order the scenario lists them.  No sweep point keeps a trajectory.  An
+``E`` sweep integrates one dark reference per distinct refined step count:
+points whose refined grids have the same step count read their rows from one
+reference run.  The reference keeps its states only: no grid sample of f, no
+norms, overlaps or times.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import sys
 import time
@@ -33,26 +46,26 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import design_monitored_state, phase_diagnostics
+from .design import _PhaseSum, design_monitored_state
 from .dynamics import (
+    _closed_form_windows,
     _continuous_rows,
-    closed_form_run,
+    _continuous_windows,
+    _discrete_windows,
     closed_form_solution,
     closed_form_states,
-    continuous_dark_run,
     cyclic_return_fidelity,
-    discrete_dark_run,
     require_step_count,
     step_count,
     windows,
     zeno_spectrum,
 )
-from .embedding import MAX_PHASE_STEP, adiabatic_alpha_check, embedded_run
+from .embedding import MAX_PHASE_STEP, _embedded_windows, adiabatic_alpha_check, embedded_run
 from .errors import CommutatorError, ConfigError, InputError, PhysicsError, UnsupportedVariantError
 from .paths import period_of, require_generator
 from .scenario import Scenario, load_scenario
 from .tolerances import PROFILES, ToleranceProfile
-from .trajectory import write_rows
+from .trajectory import _dark_columns, _RowWriter, write_rows
 
 __all__ = ["RunReport", "run_scenario", "run_sweep", "run_spectrum", "run_design", "main"]
 
@@ -78,12 +91,86 @@ def _json_default(value):
     raise TypeError(f"cannot write {type(value).__name__} to JSON")
 
 
+class _Output:
+    """A command's output files, each made when it is first written.
+
+    The trajectory CSV is written a window at a time (:meth:`rows`).  If the
+    command fails, :meth:`discard` removes every file written and every
+    directory made by this call; a file is written at its final path, and
+    removed again, rather than renamed into place.
+    """
+
+    def __init__(self, scenario: Scenario, out_dir):
+        self.directory = Path(out_dir) if out_dir else Path(scenario.output.directory)
+        self.name = scenario.name
+        self.formats = scenario.output.formats
+        self.files: list[str] = []
+        self._made: list[Path] | None = None  # directories made, innermost first
+        self._streams: list = []
+        self._rows = None  # the trajectory CSV's writer, made with its first rows
+
+    def make_directory(self) -> None:
+        if self._made is None:
+            self._made, missing = [], self.directory
+            while not missing.exists():
+                self._made.append(missing)
+                missing = missing.parent
+            self.directory.mkdir(parents=True, exist_ok=True)
+
+    def open(self, kind: str):
+        """A new file ``<name>_<kind>`` for writing."""
+        self.make_directory()
+        path = self.directory / f"{self.name}_{kind}"
+        self._streams.append(open(path, "w", newline=""))
+        self.files.append(str(path))
+        return self._streams[-1]
+
+    def rows(self, columns: list[str], *blocks) -> None:
+        """Write the next rows of the trajectory CSV, if the scenario asks for one."""
+        if "csv" in self.formats:
+            if self._rows is None:
+                self._rows = _RowWriter(self.open("trajectory.csv"), columns)
+            self._rows.write(*blocks)
+
+    def close(self) -> None:
+        if self._rows is not None:
+            self._rows.close()
+        for stream in self._streams:
+            stream.close()
+
+    def discard(self) -> None:
+        # every step is tried: one that fails does not keep the others' files
+        for stream in self._streams:
+            with contextlib.suppress(OSError):
+                stream.close()
+        for path in self.files:
+            with contextlib.suppress(OSError):
+                Path(path).unlink(missing_ok=True)
+        for directory in self._made or []:
+            with contextlib.suppress(OSError):  # it may hold files this call did not write
+                directory.rmdir()
+
+
+def _dark_windows(output: _Output, produced, dim: int):
+    """Write each window of a dark run to the trajectory CSV and yield it.
+
+    ``produced`` yields a run's :func:`~zenodark.dynamics.window_rows` with
+    rows ``[states, norms, orth]``; yields ``(times, states, norms, orth)``.
+    The CSV holds :class:`~zenodark.trajectory.DarkTrajectory`'s columns.
+    """
+    columns = _dark_columns(dim)
+    for _, times, (states, norms, orth) in produced:
+        output.rows(columns, times, states.real, states.imag, norms, norms**2, orth)
+        yield times, states, norms, orth
+        del times, states, norms, orth  # not held while the next window is made
+
+
 # reference grids are refined to this step so the integrator's own
 # orthogonality drift stays far below the 1/E effect being measured
 _REFERENCE_DT = 1.25e-4
 
 
-def _dark_deviations(scenario: Scenario, tol: ToleranceProfile, points):
+def _dark_deviations(scenario: Scenario, tol: ToleranceProfile, points, keep: bool = False):
     """Embedded run at each ``(E, dt)`` point and its deviation from the dark run.
 
     A point's reference is the dark run at ``dt`` refined to a step at or
@@ -94,8 +181,11 @@ def _dark_deviations(scenario: Scenario, tol: ToleranceProfile, points):
     the last bit.  The reference keeps its states only: it runs the windows
     and kernel of :func:`continuous_dark_run`, with the same input checks,
     but samples no grid and computes no norms or overlaps, so its states are
-    bitwise that run's.  Yields ``(index, trajectory, deviation)`` grouped by
-    refined step count.
+    bitwise that run's.  An embedded run makes its first window (and so
+    passes its own checks) before its reference is integrated, and is
+    compared with it a window at a time.  Yields ``(index, trajectory,
+    deviation)`` grouped by refined step count; the trajectory is the
+    :func:`embedded_run` with ``keep``, else None, and no rows are kept.
     """
     run = scenario.run
     psi0, path, H = scenario.initial_state, scenario.path, scenario.hamiltonian
@@ -109,75 +199,93 @@ def _dark_deviations(scenario: Scenario, tol: ToleranceProfile, points):
         reference = None  # drops the previous count's reference before this one's
         for i, refine in members:
             energy, dt = points[i]
-            traj = embedded_run(psi0, path, energy, run.T, dt, tol=tol)
+            if keep:
+                traj = embedded_run(psi0, path, energy, run.T, dt, tol=tol)
+                dark = (traj.dark_states[a:b] for a, b in windows(traj.times.size, traj.dim))
+            else:
+                traj, (_, produced) = None, _embedded_windows(psi0, path, energy, run.T, dt, tol)
+                produced = itertools.chain([next(produced)], produced)
+                dark = (rows[1] for _, _, rows in produced)
             if reference is None:
                 [reference] = _continuous_rows(psi0, path, H, run.T, step, tol, grid=False)
-            gap = 0.0
-            for a, b in windows(traj.times.size, traj.dim):
-                rows = traj.dark_states[a:b] - reference[a * refine : b * refine : refine]
-                gap = max(gap, float(np.linalg.norm(rows, axis=1).max()))
+            gap, start = 0.0, 0
+            for rows in dark:
+                end = start + rows.shape[0]
+                rows = rows - reference[start * refine : end * refine : refine]
+                gap, start = max(gap, float(np.linalg.norm(rows, axis=1).max())), end
             yield i, traj, gap
 
 
-def _execute_run(scenario: Scenario, tol: ToleranceProfile):
-    """Run the scenario's mode.  Returns (mode, metrics, extra, trajectory)."""
+def _execute_run(scenario: Scenario, tol: ToleranceProfile, output: _Output):
+    """Run the scenario's mode, its CSV written as it runs.  Returns (mode, metrics, extra)."""
     run = scenario.run
     H = scenario.hamiltonian
     psi0 = scenario.initial_state
-    path, target = scenario.path, scenario.target
+    path, target, dim = scenario.path, scenario.target, scenario.dimension
 
     if run.mode == "discrete":
-        M = run.M if run.M is not None else step_count(run.T, run.tau, scenario.dimension)
-        traj = discrete_dark_run(psi0, path, H, run.tau, M, tol=tol)
+        M = run.M if run.M is not None else step_count(run.T, run.tau, dim)
+        M, produced = _discrete_windows(psi0, path, H, run.tau, M, tol)
+        orth_max = 0.0
+        for _, _, norms, orth in _dark_windows(output, produced, dim):
+            orth_max = np.maximum(orth_max, orth.max())
+        survival = norms[-1:] ** 2
         metrics = {
             "tau": run.tau,
             "measurements": M,
-            "final_norm": float(traj.norms[-1]),
-            "final_survival_probability": float(traj.survival_probability[-1]),
-            "norm_deficit": float(1.0 - traj.survival_probability[-1]),
-            "max_orthogonality_residual": float(traj.orthogonality_residual.max()),
+            "final_norm": float(norms[-1]),
+            "final_survival_probability": float(survival[0]),
+            "norm_deficit": float(1.0 - survival[0]),
+            "max_orthogonality_residual": float(orth_max),
         }
-        return run.mode, metrics, {}, traj
+        return run.mode, metrics, {}
 
     if run.mode == "continuous":
-        traj = continuous_dark_run(psi0, path, H, run.T, run.dt, tol=tol)
+        _, produced = _continuous_windows(psi0, path, H, run.T, run.dt, tol, grid=True)
+        deviation = orth_max = 0.0
+        for times, states, norms, orth in _dark_windows(output, produced, dim):
+            deviation = np.maximum(deviation, np.abs(1.0 - norms).max())
+            orth_max = np.maximum(orth_max, orth.max())
         metrics = {
             "dt": run.dt,
-            "final_norm": float(traj.norms[-1]),
-            "max_norm_deviation": float(np.abs(1.0 - traj.norms).max()),
-            "max_orthogonality_residual": float(traj.orthogonality_residual.max()),
+            "final_norm": float(norms[-1]),
+            "max_norm_deviation": float(deviation),
+            "max_orthogonality_residual": float(orth_max),
         }
         # paths without a generator, or whose generator does not commute with
         # H, have no closed form to compare against
         try:
             gen = require_generator(scenario.path)
             reference = closed_form_solution(
-                psi0, H, gen.generator, gen.initial_state, float(traj.times[-1]), tol=tol
+                psi0, H, gen.generator, gen.initial_state, float(times[-1]), tol=tol
             )
-            metrics["final_fidelity_vs_closed_form"] = float(
-                abs(np.vdot(reference, traj.states[-1]))
-            )
+            metrics["final_fidelity_vs_closed_form"] = float(abs(np.vdot(reference, states[-1])))
         except (UnsupportedVariantError, CommutatorError):
             pass
-        return run.mode, metrics, {}, traj
+        return run.mode, metrics, {}
 
     if run.mode == "closed_form":
-        traj = closed_form_run(psi0, path, H, run.T, run.dt, tol=tol)
-        integrated = continuous_dark_run(psi0, path, H, run.T, run.dt, tol=tol)
-        overlaps = np.abs(
-            np.einsum("ij,ij->i", traj.states.conj(), integrated.states)
-        )
+        # the closed form and the integrator in lockstep, window by window
+        _, produced = _closed_form_windows(psi0, path, H, run.T, run.dt, tol)
+        _, integrated = _continuous_windows(psi0, path, H, run.T, run.dt, tol, grid=False)
+        orth_max, smallest = 0.0, np.inf
+        for (_, states, norms, orth), (_, _, [other]) in zip(
+            _dark_windows(output, produced, dim), integrated
+        ):
+            overlaps = np.abs(np.einsum("ij,ij->i", states.conj(), other))
+            smallest = np.minimum(smallest, overlaps.min())
+            orth_max = np.maximum(orth_max, orth.max())
         metrics = {
             "dt": run.dt,
-            "final_norm": float(traj.norms[-1]),
-            "max_orthogonality_residual": float(traj.orthogonality_residual.max()),
+            "final_norm": float(norms[-1]),
+            "max_orthogonality_residual": float(orth_max),
             "final_fidelity_vs_integrator": float(overlaps[-1]),
-            "min_fidelity_vs_integrator": float(overlaps.min()),
+            "min_fidelity_vs_integrator": float(smallest),
         }
-        return run.mode, metrics, {}, traj
+        return run.mode, metrics, {}
 
     if run.mode == "embedded":
-        [(_, traj, deviation)] = _dark_deviations(scenario, tol, [(run.E, run.dt)])
+        [(_, traj, deviation)] = _dark_deviations(scenario, tol, [(run.E, run.dt)], keep=True)
         metrics = {
             "E": run.E,
             "dt": run.dt,
@@ -185,26 +293,30 @@ def _execute_run(scenario: Scenario, tol: ToleranceProfile):
             "alpha_quasi_static_residual": float(adiabatic_alpha_check(traj, path)),
             "max_full_norm_deviation": float(np.abs(1.0 - traj.full_norms).max()),
         }
-        return run.mode, metrics, {}, traj
+        if "csv" in output.formats:
+            traj.write_csv(output.open("trajectory.csv"))
+        return run.mode, metrics, {}
 
     # run.mode == "inverse": load_scenario has checked the path is designed
-    steps = step_count(run.T, run.dt, scenario.dimension)
+    steps = step_count(run.T, run.dt, dim)
     diagnostic = run.dt * np.arange(0, steps + 1, max(1, steps // 500))
     result = design_monitored_state(target, H, diagnostic, tol=tol)
     psi_start = target.state_at(0.0)
-    forward = continuous_dark_run(psi_start, path, H, run.T, run.dt, tol=tol)
-    worst = np.inf
-    for a, b in windows(forward.times.size, forward.dim):
-        targets = target.states_on(forward.times[a:b])
-        fidelities = np.abs(np.einsum("ij,ij->i", targets.conj(), forward.states[a:b]))
-        worst = min(worst, float(fidelities.min()))
-    transport, phase = phase_diagnostics(forward, tol=tol)
+    _, produced = _continuous_windows(psi_start, path, H, run.T, run.dt, tol, grid=True)
+    phases, worst = _PhaseSum(steps + 1), np.inf
+    for times, states, _, _ in _dark_windows(output, produced, dim):
+        fidelities = np.abs(np.einsum("ij,ij->i", target.states_on(times).conj(), states))
+        worst = np.minimum(worst, fidelities.min())
+        phases.add(times, states)
+        final = fidelities[-1]
+        del times, states, fidelities  # not held while the next window samples the design
+    transport, phase = phases.result(tol)
     metrics = {
         "dt": run.dt,
         "compatibility_residual": float(result.compatibility_residual),
         "design_orthogonality_residual": float(result.orthogonality_residual),
-        "roundtrip_min_fidelity": worst,
-        "roundtrip_final_fidelity": float(fidelities[-1]),
+        "roundtrip_min_fidelity": float(worst),
+        "roundtrip_final_fidelity": float(final),
         "parallel_transport_residual": transport,
         "geometric_phase": phase,
     }
@@ -218,7 +330,7 @@ def _execute_run(scenario: Scenario, tol: ToleranceProfile):
         },
         "phases": {"geometric_phase": metrics["geometric_phase"]},
     }
-    return run.mode, metrics, {"design": design}, forward
+    return run.mode, metrics, {"design": design}
 
 
 def _sweep_metric(scenario: Scenario, tol: ToleranceProfile, parameter: str, value: float) -> float:
@@ -228,17 +340,22 @@ def _sweep_metric(scenario: Scenario, tol: ToleranceProfile, parameter: str, val
     path = scenario.path
 
     if parameter == "tau":
+        # the final survival probability only
         M = step_count(run.T, value, scenario.dimension)
-        traj = discrete_dark_run(psi0, path, H, value, M, tol=tol)
-        return float(1.0 - traj.survival_probability[-1])
+        _, produced = _discrete_windows(psi0, path, H, value, M, tol)
+        for _, _, (_, norms, _) in produced:
+            pass
+        return float(1.0 - (norms[-1:] ** 2)[0])
 
-    # parameter == "dt": the gap to the closed form, one window at a time
-    traj = continuous_dark_run(psi0, path, H, run.T, value, tol=tol)
+    # parameter == "dt": the gap to the closed form, one window at a time;
+    # the first window checks the run's setup before the closed form's
+    _, produced = _continuous_windows(psi0, path, H, run.T, value, tol, grid=False)
+    produced = itertools.chain([next(produced)], produced)
     gen = require_generator(path)
     exact = closed_form_states(psi0, H, gen.generator, gen.initial_state, tol)
     return max(
-        float(np.linalg.norm(traj.states[a:b] - exact(traj.times[a:b]), axis=1).max())
-        for a, b in windows(traj.times.size, traj.dim)
+        float(np.linalg.norm(states - exact(times), axis=1).max())
+        for _, times, [states] in produced
     )
 
 
@@ -250,7 +367,7 @@ def _resolving_step(scenario: Scenario, energy: float) -> float:
     return run.T / require_step_count(np.ceil(run.T / dt - 1e-9), run.T, dt, scenario.dimension)
 
 
-def _execute_sweep(scenario: Scenario, tol: ToleranceProfile):
+def _execute_sweep(scenario: Scenario, tol: ToleranceProfile, output: _Output):
     """Run every sweep point and fit the log-log slope of metric against value."""
     sweep = scenario.sweep
     values = list(sweep.values)
@@ -266,10 +383,10 @@ def _execute_sweep(scenario: Scenario, tol: ToleranceProfile):
     slope = float(np.polyfit(np.log(np.asarray(values)), np.log(safe), 1)[0])
     summary = {"parameter": sweep.parameter, "values": values, "metrics": metrics, "slope": slope}
     headline = {"parameter": sweep.parameter, "slope": slope}
-    return scenario.run.mode, headline, {"sweep": summary}, None
+    return scenario.run.mode, headline, {"sweep": summary}
 
 
-def _execute_spectrum(scenario: Scenario, tol: ToleranceProfile):
+def _execute_spectrum(scenario: Scenario, tol: ToleranceProfile, output: _Output):
     """Complement spectrum of the monitored path and the cyclic return."""
     gen = require_generator(scenario.path)
     spectrum = zeno_spectrum(
@@ -287,54 +404,44 @@ def _execute_spectrum(scenario: Scenario, tol: ToleranceProfile):
         fidelity = cyclic_return_fidelity(spectrum, period)
         payload["return_fidelity"] = fidelity
         metrics["return_fidelity"] = fidelity
-    return "spectrum", metrics, {"spectrum": payload}, None
+    return "spectrum", metrics, {"spectrum": payload}
 
 
-def _finish(scenario: Scenario, command: str, result, out_dir, started: float) -> RunReport:
-    # write an executor's (mode, metrics, extra, trajectory) and report it
-    mode, metrics, extra, trajectory = result
-    directory = Path(out_dir) if out_dir else Path(scenario.output.directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    files: list[str] = []
-    if trajectory is not None and "csv" in scenario.output.formats:
-        csv_path = directory / f"{scenario.name}_trajectory.csv"
-        with open(csv_path, "w", newline="") as stream:
-            trajectory.write_csv(stream)
-        files.append(str(csv_path))
-    if "sweep" in extra and "csv" in scenario.output.formats:
+def _finish(scenario: Scenario, command: str, result, output: _Output, started: float) -> RunReport:
+    # write an executor's (mode, metrics, extra) and report it
+    mode, metrics, extra = result
+    output.make_directory()
+    if "sweep" in extra and "csv" in output.formats:
         sweep = extra["sweep"]
-        csv_path = directory / f"{scenario.name}_sweep.csv"
-        with open(csv_path, "w", newline="") as stream:
-            write_rows(stream, ["value", "metric"], sweep["values"], sweep["metrics"])
-        files.append(str(csv_path))
+        write_rows(output.open("sweep.csv"), ["value", "metric"], sweep["values"], sweep["metrics"])
 
     duration = time.perf_counter() - started
-    if "json" in scenario.output.formats:
-        json_path = directory / f"{scenario.name}_summary.json"
-        files.append(str(json_path))
+    if "json" in output.formats:
+        stream = output.open("summary.json")
         payload = {
             "scenario": scenario.name,
             "command": command,
             "mode": mode,
             "metrics": metrics,
             "duration_seconds": duration,
-            "files": list(files),
+            "files": list(output.files),
         }
         payload.update(extra)
-        text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
-        json_path.write_text(text + "\n")
+        stream.write(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
+    output.close()
     return RunReport(
         scenario=scenario.name,
         command=command,
         mode=mode,
         metrics=metrics,
-        files=files,
+        files=output.files,
         duration_seconds=duration,
     )
 
 
 def _run_command(command: str, execute, config_path, out_dir, profile) -> RunReport:
-    # every command's one prologue: load, check its own needs, execute, write
+    # every command's one prologue: load, check its own needs, execute, write;
+    # a command that fails leaves no output
     started = time.perf_counter()
     tol = PROFILES[profile]
     scenario = load_scenario(config_path, tol=tol)
@@ -347,7 +454,12 @@ def _run_command(command: str, execute, config_path, out_dir, profile) -> RunRep
         raise ConfigError("design needs run.mode 'inverse'")
     if command == "spectrum" and scenario.initial_state is None:
         raise ConfigError("spectrum needs an 'initial_state'")
-    return _finish(scenario, command, execute(scenario, tol), out_dir, started)
+    output = _Output(scenario, out_dir)
+    try:
+        return _finish(scenario, command, execute(scenario, tol, output), output, started)
+    except BaseException:
+        output.discard()
+        raise
 
 
 def run_scenario(config_path, out_dir: str | None = None, profile: str = "default") -> RunReport:

@@ -345,6 +345,54 @@ def pancharatnam_phase(traj, tol: ToleranceProfile = DEFAULT) -> float:
     return phase_diagnostics(traj, tol)[1]
 
 
+class _PhaseSum:
+    """:func:`phase_diagnostics` read a few rows at a time, as a run makes them.
+
+    :meth:`add` takes the next rows, and their times, of a run of ``rows``
+    rows (at least two, the first call's at least two), and carries the last
+    row to pair it with the next call's first.
+    Each consecutive overlap's angle is kept, so that :meth:`result` sums
+    them once over the whole run, pairwise, as one array sum would.
+    """
+
+    def __init__(self, rows: int):
+        self.angles = np.empty(rows - 1)
+        self.transport, self.smallest, self.pairs = 0.0, np.inf, 0
+        self.first = self.last = None
+
+    def add(self, times, states) -> None:
+        if self.last is None:
+            self.first = states[0].copy()
+        else:
+            times = np.concatenate(([self.last[0]], times))
+            states = np.concatenate((self.last[1][None], states))
+        self.last = (times[-1], states[-1].copy())
+        overlaps = np.einsum("ij,ij->i", states[:-1].conj(), states[1:])
+        norms = np.linalg.norm(states, axis=1)
+        ratios = np.abs(overlaps.imag) / (norms[:-1] * norms[1:] * np.diff(times))
+        self.transport = max(self.transport, float(ratios.max()))
+        self.smallest = min(self.smallest, float(np.abs(overlaps).min()))
+        self.angles[self.pairs : self.pairs + overlaps.size] = np.angle(overlaps)
+        self.pairs += overlaps.size
+
+    def result(self, tol: ToleranceProfile) -> tuple[float, float]:
+        if self.smallest < tol.overlap_phase_floor:
+            raise UndefinedPhaseError(
+                f"consecutive overlap magnitude {self.smallest:.3e} too small for a phase"
+            )
+        total = float(self.angles.sum())  # once over the whole run: the sum is pairwise
+
+        first, last = self.first, self.last[1]
+        closing = np.vdot(last, first)
+        gap_sq = (
+            float(np.linalg.norm(last) ** 2 + np.linalg.norm(first) ** 2)
+            - 2.0 * float(abs(closing))
+        )
+        if math.sqrt(max(gap_sq, 0.0)) <= tol.closed_path:
+            total += float(np.angle(closing))
+        return self.transport, float(np.angle(np.exp(1j * total)))
+
+
 def phase_diagnostics(traj, tol: ToleranceProfile = DEFAULT) -> tuple[float, float]:
     """Parallel-transport residual and Pancharatnam phase from one overlap pass.
 
@@ -354,25 +402,7 @@ def phase_diagnostics(traj, tol: ToleranceProfile = DEFAULT) -> tuple[float, flo
     times, states = _times_states(traj)
     if states.shape[0] < 2:
         return 0.0, 0.0
-    transport, smallest, angles = 0.0, np.inf, np.empty(states.shape[0] - 1)
-    for a, b in windows(angles.size, states.shape[1]):
-        overlaps = np.einsum("ij,ij->i", states[a:b].conj(), states[a + 1 : b + 1])
-        norms = np.linalg.norm(states[a : b + 1], axis=1)
-        ratios = np.abs(overlaps.imag) / (norms[:-1] * norms[1:] * np.diff(times[a : b + 1]))
-        transport = max(transport, float(ratios.max()))
-        smallest = min(smallest, float(np.abs(overlaps).min()))
-        angles[a:b] = np.angle(overlaps)
-    if smallest < tol.overlap_phase_floor:
-        raise UndefinedPhaseError(
-            f"consecutive overlap magnitude {smallest:.3e} too small for a phase"
-        )
-    total = float(angles.sum())  # once over the whole run: the sum is pairwise
-
-    closing = np.vdot(states[-1], states[0])
-    gap_sq = (
-        float(np.linalg.norm(states[-1]) ** 2 + np.linalg.norm(states[0]) ** 2)
-        - 2.0 * float(abs(closing))
-    )
-    if math.sqrt(max(gap_sq, 0.0)) <= tol.closed_path:
-        total += float(np.angle(closing))
-    return transport, float(np.angle(np.exp(1j * total)))
+    phases = _PhaseSum(states.shape[0])
+    for a, b in windows(states.shape[0], states.shape[1]):
+        phases.add(times[a:b], states[a:b])
+    return phases.result(tol)

@@ -16,9 +16,11 @@ span{f, fdot}, computed in closed form; otherwise it is a Taylor polynomial
 of ``-i dt H_D`` with scaling and squaring, its degree chosen per step so the
 first dropped term is at most 2^-53.  Neither runs an eigendecomposition.
 Runs sample the path and call a kernel one window of steps at a time
-(:func:`run_windows`).  When the monitored state is rotated by a generator K
-that commutes with H, the co-moving effective Hamiltonian is time independent
-and the run has a closed-form spectral solution.
+(:func:`window_rows`); a run function collects the windows into arrays
+(:func:`run_windows`), and the CLI reads them as they are made.  When the
+monitored state is rotated by a generator K that commutes with H, the
+co-moving effective Hamiltonian is time independent and the run has a
+closed-form spectral solution.
 """
 
 from __future__ import annotations
@@ -59,10 +61,11 @@ __all__ = [
 ]
 
 
-# Longest run accepted: a run keeps its state and four floats per step (80 B
-# at N = 3; a 10^6-step design run peaks 83 MB above a 1,000-step one), about
-# 0.9 GB for 10^7 steps.  The same budget bounds steps x N, so a larger N
-# allows proportionally fewer steps.
+# Longest run accepted: a library run keeps its state and four floats per
+# step (80 B at N = 3), about 0.9 GB for 10^7 steps.  The CLI keeps no rows
+# of a dark run (it writes each window as it is made) and 8 B per step of a
+# design run.  The same budget bounds steps x N, so a larger N allows
+# proportionally fewer steps.
 MAX_STEPS = 10_000_000
 MAX_STEP_ROWS = 3 * MAX_STEPS
 
@@ -80,22 +83,35 @@ def windows(count: int, dim: int) -> list[tuple[int, int]]:
     return [(a, min(a + width, count)) for a in range(0, count, width)]
 
 
-def run_windows(psi0: np.ndarray, steps: int, advance) -> list[np.ndarray]:
+def window_rows(psi0: np.ndarray, steps: int, step: float, advance):
     """Rows ``0 .. steps`` of a run, sampled and propagated window by window.
 
     ``advance(a, b, psi)`` samples the path for steps ``a .. b`` and runs a
     kernel from ``psi``, the state at step ``a``: arrays of rows ``a .. b``,
-    the states first.  Their rows 1.., and row 0 of the first window, are kept.
+    the states first.  Yields ``(start, times, rows)`` for each window: the
+    rows not yielded before (all of the first window's, rows 1.. of each
+    later one), their index ``start`` in the run and their times
+    ``step * index``.  The generator holds no rows of a window while it
+    makes the next.
     """
-    out: list[np.ndarray] = []
+    psi = psi0
     for a, b in windows(steps, psi0.size):
-        rows = advance(a, b, out[0][a] if out else psi0)
+        rows = advance(a, b, psi)
+        psi = rows[0][-1].copy()
+        start = a + 1 if a else 0
+        rows = [r[start - a :] for r in rows]
+        yield start, step * np.arange(start, b + 1), rows
+        del rows
+
+
+def run_windows(steps: int, produced) -> list[np.ndarray]:
+    """The ``rows`` that :func:`window_rows` yields, as arrays of ``steps + 1`` rows."""
+    out: list[np.ndarray] = []
+    for start, _, rows in produced:
         if not out:
             out = [np.empty((steps + 1, *r.shape[1:]), r.dtype) for r in rows]
-            for o, r in zip(out, rows):
-                o[0] = r[0]
         for o, r in zip(out, rows):
-            o[a + 1 : b + 1] = r[1:]
+            o[start : start + r.shape[0]] = r
     return out
 
 
@@ -148,6 +164,30 @@ def require_orthogonal(f, psi0, tol: ToleranceProfile = DEFAULT, drift: float = 
         )
 
 
+def _discrete_windows(psi0, path: MonitoredPath, H, tau: float, M: int, tol: ToleranceProfile):
+    """Checks, then ``(M, windows)``: the step count and the run's
+    :func:`window_rows`, rows ``[states, norms, orth]``."""
+    psi0 = require_unit(psi0, tol, name="initial state")
+    H = require_hermitian(H, tol, name="hamiltonian")
+    if not 0.0 < tau < np.inf:
+        raise InputError("measurement interval must be finite and positive")
+    # M * tau overflows for an int beyond the float range; require_step_count
+    # reports a count that large before it reads the duration
+    duration = M * tau if abs(M) <= MAX_STEPS else np.nan
+    M = require_step_count(M, duration, tau, psi0.size)
+    U = unitary_exp(H, tau, tol)
+
+    def advance(a, b, psi):
+        f_seq, fdot_seq = path.evaluate_many(tau * np.arange(a + 1, b + 1))
+        if a == 0:
+            drift = 2.0 * tau * float(np.linalg.norm(fdot_seq[0]))
+            require_orthogonal(f_seq[0], psi0, tol, drift=drift)
+        del fdot_seq  # the kernel reads f only
+        return kernels.discrete_loop(U, f_seq, psi)
+
+    return M, window_rows(psi0, M, tau, advance)
+
+
 def discrete_dark_run(
     psi0,
     path: MonitoredPath,
@@ -168,29 +208,10 @@ def discrete_dark_run(
         If the initial state has a component on ``f(tau)`` beyond the setup
         tolerance plus the one-step drift allowance.
     """
-    psi0 = require_unit(psi0, tol, name="initial state")
-    H = require_hermitian(H, tol, name="hamiltonian")
-    if not 0.0 < tau < np.inf:
-        raise InputError("measurement interval must be finite and positive")
-    # M * tau overflows for an int beyond the float range; require_step_count
-    # reports a count that large before it reads the duration
-    duration = M * tau if abs(M) <= MAX_STEPS else np.nan
-    M = require_step_count(M, duration, tau, psi0.size)
-
-    times = tau * np.arange(M + 1)
-    U = unitary_exp(H, tau, tol)
-
-    def advance(a, b, psi):
-        f_seq, fdot_seq = path.evaluate_many(times[a + 1 : b + 1])
-        if a == 0:
-            drift = 2.0 * tau * float(np.linalg.norm(fdot_seq[0]))
-            require_orthogonal(f_seq[0], psi0, tol, drift=drift)
-        del fdot_seq  # the kernel reads f only
-        return kernels.discrete_loop(U, f_seq, psi)
-
-    states, norms, orth = run_windows(psi0, M, advance)
+    M, produced = _discrete_windows(psi0, path, H, tau, M, tol)
+    states, norms, orth = run_windows(M, produced)
     return DarkTrajectory(
-        times=times,
+        times=tau * np.arange(M + 1),
         states=states,
         norms=norms,
         survival_probability=norms**2,
@@ -219,16 +240,17 @@ def effective_hamiltonian(H, f, fdot, tol: ToleranceProfile = DEFAULT) -> np.nda
     return kernels.effective_hamiltonians(H, f[None], fdot[None])[0]
 
 
-def _continuous_rows(
+def _continuous_windows(
     psi0, path: MonitoredPath, H, T: float, dt: float, tol: ToleranceProfile, grid: bool
-) -> list[np.ndarray]:
-    """Rows ``0 .. steps`` of the exponential-midpoint run, window by window.
+):
+    """Checks, then ``(steps, windows)``: the exponential-midpoint run's
+    :func:`window_rows`.
 
-    Checks ``psi0`` (unit), ``H`` (Hermitian), the step count and
-    ``<f(0)|psi0>``, then samples ``f`` and ``fdot`` at each window's
-    midpoints for the continuous kernel.  Returns ``[states]``; with ``grid``,
-    the path is also sampled on the grid and ``[states, norms, orth]`` holds
-    the norms and the overlaps ``|<f(t)|psi(t)>|``.
+    Checks ``psi0`` (unit), ``H`` (Hermitian) and the step count; the first
+    window checks ``<f(0)|psi0>``.  Each window samples ``f`` and ``fdot`` at
+    its midpoints for the continuous kernel.  Rows are ``[states]``; with
+    ``grid``, the path is also sampled on the grid and ``[states, norms,
+    orth]`` holds the norms and the overlaps ``|<f(t)|psi(t)>|``.
     """
     psi0 = require_unit(psi0, tol, name="initial state")
     H = np.ascontiguousarray(require_hermitian(H, tol, name="hamiltonian"))
@@ -241,7 +263,14 @@ def _continuous_rows(
             require_orthogonal(f_grid[0] if grid else path.evaluate(0.0)[0], psi0, tol)
         return kernels.continuous_loop(H, f_grid, f_mid, fdot_mid, psi, float(dt))
 
-    return run_windows(psi0, steps, advance)
+    return steps, window_rows(psi0, steps, dt, advance)
+
+
+def _continuous_rows(
+    psi0, path: MonitoredPath, H, T: float, dt: float, tol: ToleranceProfile, grid: bool
+) -> list[np.ndarray]:
+    """The rows of :func:`_continuous_windows`, each as one array of the whole run."""
+    return run_windows(*_continuous_windows(psi0, path, H, T, dt, tol, grid))
 
 
 def continuous_dark_run(
@@ -379,6 +408,23 @@ def closed_form_solution(
     return closed_form_states(psi0, H, K, f0, tol)(np.array([float(t)]))[0]
 
 
+def _closed_form_windows(psi0, path: MonitoredPath, H, T: float, dt: float, tol: ToleranceProfile):
+    """Checks, then ``(steps, windows)``: the closed form's :func:`window_rows`,
+    rows ``[states, norms, orth]``."""
+    gen = require_generator(path)
+    steps = step_count(T, dt, np.size(psi0))
+    states_at = closed_form_states(psi0, H, gen.generator, gen.initial_state, tol)
+
+    def advance(a, b, psi):
+        times = dt * np.arange(a, b + 1)
+        states = states_at(times)
+        f_grid = path.evaluate_many(times)[0]
+        orth = np.abs(np.einsum("ij,ij->i", f_grid.conj(), states))
+        return states, np.linalg.norm(states, axis=1), orth
+
+    return steps, window_rows(np.asarray(psi0), steps, dt, advance)
+
+
 def closed_form_run(
     psi0, path: MonitoredPath, H, T: float, dt: float, tol: ToleranceProfile = DEFAULT
 ) -> DarkTrajectory:
@@ -387,20 +433,10 @@ def closed_form_run(
     The path must carry a generator (a generator or mode path) commuting
     with ``H``.
     """
-    gen = require_generator(path)
-    steps = step_count(T, dt, np.size(psi0))
-    times = dt * np.arange(steps + 1)
-    states_at = closed_form_states(psi0, H, gen.generator, gen.initial_state, tol)
-
-    def advance(a, b, psi):
-        states = states_at(times[a : b + 1])
-        f_grid = path.evaluate_many(times[a : b + 1])[0]
-        orth = np.abs(np.einsum("ij,ij->i", f_grid.conj(), states))
-        return states, np.linalg.norm(states, axis=1), orth
-
-    states, norms, orth = run_windows(np.asarray(psi0), steps, advance)
+    steps, produced = _closed_form_windows(psi0, path, H, T, dt, tol)
+    states, norms, orth = run_windows(steps, produced)
     return DarkTrajectory(
-        times=times,
+        times=dt * np.arange(steps + 1),
         states=states,
         norms=norms,
         survival_probability=norms**2,

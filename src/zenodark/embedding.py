@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 
 from . import kernels
-from .dynamics import require_orthogonal, run_windows, step_count, windows
+from .dynamics import require_orthogonal, run_windows, step_count, window_rows, windows
 from .errors import InputError, RegimeWarning, ResolutionError
 from .linalg import require_unit
 from .paths import MonitoredPath
@@ -32,6 +32,33 @@ __all__ = ["embedded_run", "adiabatic_alpha_check"]
 
 # Largest fast phase E * dt of one step, about 63 steps per period 2 pi / E
 MAX_PHASE_STEP = 0.1
+
+
+def _embedded_windows(
+    psi0, path: MonitoredPath, energy: float, T: float, dt: float, tol: ToleranceProfile
+):
+    """Checks, then ``(steps, windows)``: the run's :func:`window_rows`, rows
+    ``[full, dark, alpha]``."""
+    psi0 = require_unit(psi0, tol, name="initial state")
+    if not 0.0 <= energy < np.inf:
+        raise InputError("energy shift must be finite and nonnegative")
+    steps = step_count(T, dt, psi0.size)
+    if energy > 0.0 and dt > MAX_PHASE_STEP / energy * (1.0 + 1e-9):
+        raise ResolutionError(
+            f"dt = {dt:g} too coarse for energy {energy:g}: need dt <= "
+            f"{MAX_PHASE_STEP / energy:g} to resolve the fast phase"
+        )
+
+    def advance(a, b, psi):
+        f_grid = path.evaluate_many(dt * np.arange(a, b + 1))[0]
+        f_mid = path.evaluate_many(dt * (np.arange(a, b) + 0.5))[0]
+        if a == 0:
+            require_orthogonal(f_grid[0], psi0, tol)
+        full = kernels.embedded_loop(f_mid, psi, float(energy), float(dt))
+        alpha = np.einsum("ij,ij->i", f_grid.conj(), full)
+        return full, full - alpha[:, None] * f_grid, alpha
+
+    return steps, window_rows(psi0, steps, dt, advance)
 
 
 def embedded_run(
@@ -56,30 +83,10 @@ def embedded_run(
     OrthogonalityError
         If the initial state is not orthogonal to ``f(0)``.
     """
-    psi0 = require_unit(psi0, tol, name="initial state")
-    if not 0.0 <= energy < np.inf:
-        raise InputError("energy shift must be finite and nonnegative")
-    steps = step_count(T, dt, psi0.size)
-    if energy > 0.0 and dt > MAX_PHASE_STEP / energy * (1.0 + 1e-9):
-        raise ResolutionError(
-            f"dt = {dt:g} too coarse for energy {energy:g}: need dt <= "
-            f"{MAX_PHASE_STEP / energy:g} to resolve the fast phase"
-        )
-
-    times = dt * np.arange(steps + 1)
-
-    def advance(a, b, psi):
-        f_grid = path.evaluate_many(times[a : b + 1])[0]
-        f_mid = path.evaluate_many(dt * (np.arange(a, b) + 0.5))[0]
-        if a == 0:
-            require_orthogonal(f_grid[0], psi0, tol)
-        full = kernels.embedded_loop(f_mid, psi, float(energy), float(dt))
-        alpha = np.einsum("ij,ij->i", f_grid.conj(), full)
-        return full, full - alpha[:, None] * f_grid, alpha
-
-    full, dark, alpha = run_windows(psi0, steps, advance)
+    steps, produced = _embedded_windows(psi0, path, energy, T, dt, tol)
+    full, dark, alpha = run_windows(steps, produced)
     return EmbeddedTrajectory(
-        times=times,
+        times=dt * np.arange(steps + 1),
         full_states=full,
         dark_states=dark,
         alpha=alpha,

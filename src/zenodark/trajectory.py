@@ -4,7 +4,9 @@ CSV files are deterministic: every value is written byte for byte as
 Python's ``"%.17g" % x`` writes it (:func:`format_float`), with '.' decimal
 separator, '\\n' line endings, and a versioned header comment beginning
 ``#schema=1`` that lists the column order.  :func:`write_rows` writes every
-CSV the package produces: trajectories and the CLI's sweep tables.
+CSV the package produces: trajectories and the CLI's sweep tables.  Fed a
+few rows at a time, as the CLI feeds it a run's windows, it writes the same
+bytes as in one call.
 
 :func:`write_rows` copies the columns it is given into a buffer of whole
 rows, about 5,120 values, and formats it with array operations, a block at
@@ -42,8 +44,10 @@ def _freeze(traj) -> None:
             value.flags.writeable = False
 
 
-def _state_columns(n: int) -> list[str]:
-    return [f"re_psi_{j}" for j in range(n)] + [f"im_psi_{j}" for j in range(n)]
+def _dark_columns(n: int) -> list[str]:
+    """CSV columns of a :class:`DarkTrajectory` of dimension ``n``."""
+    states = [f"re_psi_{j}" for j in range(n)] + [f"im_psi_{j}" for j in range(n)]
+    return ["t"] + states + ["norm", "survival_prob", "orth_residual"]
 
 
 # %.17g with array operations.  A finite x with _FAST_MIN <= |x| < _FAST_MAX
@@ -315,6 +319,48 @@ def _format_block(x, line_start, frame, keep):
 _CSV_BLOCK_VALUES = 5_120
 
 
+class _RowWriter:
+    """:func:`write_rows` fed a few rows at a time.
+
+    Writes the header when made, each :meth:`write` call's rows, and the
+    last line's newline at :meth:`close`: the same bytes as one
+    :func:`write_rows` call over all the rows.  No scratch is held between
+    calls, so none while a run makes its next window.
+    """
+
+    def __init__(self, stream, columns: list[str]):
+        # each value's text starts with its separator: the header's newline
+        # comes with the first value, and the last line's newline at the end
+        stream.write("#schema=1 " + ",".join(columns))
+        self.stream = stream
+
+    def write(self, *blocks) -> None:
+        """Write the rows of ``blocks``: columns (1-D) or groups of columns
+        (2-D) of one length, side by side; no array of their rows is made."""
+        blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
+        blocks = [b[:, None] if b.ndim == 1 else b for b in blocks]
+        m = blocks[0].shape[0]
+        edges = np.cumsum([0] + [b.shape[1] for b in blocks])
+        block_rows = max(1, _CSV_BLOCK_VALUES // int(edges[-1]))
+        rows = np.empty((min(m, block_rows), edges[-1]))
+        line_start = np.zeros(rows.shape, np.intp)
+        line_start[:, 0] = _LINE_START
+        line_start = line_start.ravel()
+        frame = np.empty((line_start.size, _WIDTH), np.uint8)
+        keep = np.empty(frame.shape, bool)
+        for start in range(0, m, block_rows):
+            k = min(block_rows, m - start)
+            for block, a, b in zip(blocks, edges[:-1], edges[1:]):
+                rows[:k, a:b] = block[start : start + k]
+            size = rows[:k].size
+            text = _format_block(rows[:k].ravel(), line_start[:size], frame[:size], keep[:size])
+            self.stream.write(str(text, "ascii"))
+            del text  # not held while the next block is formatted
+
+    def close(self) -> None:
+        self.stream.write("\n")
+
+
 def write_rows(stream, columns: list[str], *blocks) -> None:
     """Write a ``#schema=1`` header naming ``columns``, then one line per row.
 
@@ -322,29 +368,9 @@ def write_rows(stream, columns: list[str], *blocks) -> None:
     lie side by side; no array of the whole table is made.  Every value is
     written as :func:`format_float` writes it, byte for byte.
     """
-    # each value's text starts with its separator: the header's newline
-    # comes with the first value, and the last line's newline at the end
-    stream.write("#schema=1 " + ",".join(columns))
-    blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
-    blocks = [b[:, None] if b.ndim == 1 else b for b in blocks]
-    m = blocks[0].shape[0]
-    edges = np.cumsum([0] + [b.shape[1] for b in blocks])
-    block_rows = max(1, _CSV_BLOCK_VALUES // int(edges[-1]))
-    rows = np.empty((min(m, block_rows), edges[-1]))
-    line_start = np.zeros(rows.shape, np.intp)
-    line_start[:, 0] = _LINE_START
-    line_start = line_start.ravel()
-    frame = np.empty((line_start.size, _WIDTH), np.uint8)
-    keep = np.empty(frame.shape, bool)
-    for start in range(0, m, block_rows):
-        k = min(block_rows, m - start)
-        for block, a, b in zip(blocks, edges[:-1], edges[1:]):
-            rows[:k, a:b] = block[start : start + k]
-        size = rows[:k].size
-        text = _format_block(rows[:k].ravel(), line_start[:size], frame[:size], keep[:size])
-        stream.write(str(text, "ascii"))
-        del text  # not held while the next block is formatted
-    stream.write("\n")
+    writer = _RowWriter(stream, columns)
+    writer.write(*blocks)
+    writer.close()
 
 
 @dataclass(frozen=True)
@@ -385,7 +411,7 @@ class DarkTrajectory:
         return self.states.shape[1]
 
     def csv_columns(self) -> list[str]:
-        return ["t"] + _state_columns(self.dim) + ["norm", "survival_prob", "orth_residual"]
+        return _dark_columns(self.dim)
 
     def write_csv(self, stream) -> None:
         psi = self.states
@@ -432,17 +458,21 @@ class EmbeddedTrajectory:
         return np.linalg.norm(self.dark_states, axis=1)
 
     def csv_columns(self) -> list[str]:
-        return (
-            ["t"]
-            + _state_columns(self.dim)
-            + ["norm", "survival_prob", "orth_residual", "re_alpha", "im_alpha"]
-        )
+        return _dark_columns(self.dim) + ["re_alpha", "im_alpha"]
 
     def write_csv(self, stream) -> None:
         """Serialize the dark component; alpha columns carry the remainder.
 
-        The full state is reconstructible as ``dark + alpha * f(t)``.
+        The full state is reconstructible as ``dark + alpha * f(t)``.  The
+        norm columns are derived one writer block at a time.
         """
-        dark, alpha, dark_norms = self.dark_states, self.alpha, self.dark_norms
-        floats = (dark_norms, dark_norms**2, np.abs(alpha), alpha.real, alpha.imag)
-        write_rows(stream, self.csv_columns(), self.times, dark.real, dark.imag, *floats)
+        columns = self.csv_columns()
+        writer = _RowWriter(stream, columns)
+        block_rows = max(1, _CSV_BLOCK_VALUES // len(columns))
+        for a in range(0, self.times.size, block_rows):
+            rows = slice(a, a + block_rows)
+            dark, alpha = self.dark_states[rows], self.alpha[rows]
+            norms = np.linalg.norm(dark, axis=1)
+            floats = (norms, norms**2, np.abs(alpha), alpha.real, alpha.imag)
+            writer.write(self.times[rows], dark.real, dark.imag, *floats)
+        writer.close()

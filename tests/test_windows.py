@@ -9,6 +9,7 @@ and writing its CSV takes memory that does not grow with the row count.
 """
 
 import functools
+import io
 import tracemalloc
 
 import numpy as np
@@ -237,3 +238,38 @@ def test_csv_writer_scratch_for_a_design_run(rng):
     rows = rng.standard_normal((50_001, 10))
     columns = [f"c{j}" for j in range(10)]
     assert traced_peak(lambda: write_rows(Sink(), columns, rows))[1] <= 1.6 * 2**20
+
+
+def embedded_trajectory(rng, m):
+    def states():
+        return rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3))
+
+    return zd.EmbeddedTrajectory(
+        times=DT * np.arange(m),
+        full_states=states(),
+        dark_states=states(),
+        alpha=rng.standard_normal(m) + 1j * rng.standard_normal(m),
+        energy=ENERGY,
+        step=DT,
+    )
+
+
+def test_embedded_csv_is_the_whole_column_table(rng):
+    # the norm and |alpha| columns, derived a block at a time, are the
+    # whole-run columns: 1,234 rows span several writer blocks and a part
+    traj = embedded_trajectory(rng, 1_234)
+    dark, alpha = traj.dark_states, traj.alpha
+    norms = np.linalg.norm(dark, axis=1)
+    whole = io.StringIO()
+    columns = (norms, norms**2, np.abs(alpha), alpha.real, alpha.imag)
+    write_rows(whole, traj.csv_columns(), traj.times, dark.real, dark.imag, *columns)
+    blocks = io.StringIO()
+    traj.write_csv(blocks)
+    assert blocks.getvalue() == whole.getvalue()
+
+
+def test_csv_writer_scratch_for_an_embedded_run(rng):
+    # 200,001 rows at N = 3: whole-run norm, norm**2 and |alpha| columns
+    # took 12.21 MiB; a DarkTrajectory of the same length takes 1.00 MiB
+    traj = embedded_trajectory(rng, 200_001)
+    assert traced_peak(lambda: traj.write_csv(Sink()))[1] <= 1.6 * 2**20
