@@ -791,10 +791,17 @@ COMMITTED_CSV_SHA256 = {
     "embedding_energy_sweep": "fcfe4469cdff1e3a22baa949b70811f386a6313f611c564bb7f02000e313b400",
     "discrete_tau_sweep": "e4d87203a9ec180517079e22687d7f73719865ca1d01e30085c6a55f73d71118",
     "continuous_commuting_hamiltonian": "ebe5753c727809dd217c427d6e4245eb0917ce971cfcc6b27fda44d8c8916e3e",
+    "run discrete_tau_sweep": "691d4c513e37d37aea7b70ab201743a75bafde7ee73dbb0674c22c11d6491594",
+    "run embedding_energy_sweep": "9cfd7fc14286f7415b3e8ea33fc890c76bdc603ad46bdb866c8f5bd0d9a42c3f",
+    "closed_form_commuting_hamiltonian": "92446d4c0c2137f22f4e2a5fbde3e92d4573223f553eb7a38d035260746fea6f",
+    "continuous_step_sweep": "57abd12c30894e7dfda96b3fce40c05b40e315d47d05adc104b326e7dbcd0274",
+    "continuous_sampled_path": "eda7989b21e25fd19ae92e79045409e8ae77d6ee2cf5d19892583d0b1a2b0160",
+    "continuous_mode_basis": "8dd3dfc1496adde2574c33bc6183c5ec2f95a072df8b589abca25e034185a6c2",
 }
 
 # sha256 of each committed scenario's summary, without the run-dependent
-# "duration_seconds" and "files", re-dumped with sorted keys
+# "duration_seconds" and "files", re-dumped with sorted keys.  A scenario
+# pinned under a second command is keyed "<command> <name>" in both tables.
 COMMITTED_SUMMARY_SHA256 = {
     "continuous_three_level": "aac5176f7619b8ba2ded365727b4602e779c8c52dc51ba236feec9140edff2bb",
     "inverse_design": "4e60a3b3d55e5ff02202a1c42c11d68025ca281ccfbf21d62a6ba97453c635b9",
@@ -802,6 +809,12 @@ COMMITTED_SUMMARY_SHA256 = {
     "discrete_tau_sweep": "21bc51b7cf0f5062ecd01e3671e4919d9189e151999ef791323c0288f4334855",
     "spectrum_three_level": "9a5f4c34e5dc35b8112d8f7f8c3be8425e32704a587e2e57444e82e7cf1decb8",
     "continuous_commuting_hamiltonian": "ede9c13a081a6b1737b9062003a82ae63a84c0562431845d996484ea0bbafa70",
+    "run discrete_tau_sweep": "a51b18d42952226bacb2b5520f76062ab715d76ecc779a17f624aac666d0bbc7",
+    "run embedding_energy_sweep": "a1f51b74c69d8ed501dacc34529a2c6f5bfcdab5df5e8d30a81a211d0c91b82e",
+    "closed_form_commuting_hamiltonian": "28de1338a5335a4ba92c697db4342cfa985520f3c811100af483a05d899e7fdf",
+    "continuous_step_sweep": "3c4005c24fe4a15f19bc4bf1561dcd9b003c1dd74ac59e333742848967afdfc2",
+    "continuous_sampled_path": "72b670d7154499b4baf013cca91d1f1d56c679d260953571e1e98f2024e1261e",
+    "continuous_mode_basis": "336aeaf89dbbd14e27944b1173f69c09d9b589d6daeecab67a151f543c707918",
 }
 
 
@@ -814,16 +827,23 @@ COMMITTED_SUMMARY_SHA256 = {
         ("sweep", "discrete_tau_sweep"),
         ("spectrum", "spectrum_three_level"),
         ("run", "continuous_commuting_hamiltonian"),
+        ("run", "discrete_tau_sweep"),
+        ("run", "embedding_energy_sweep"),
+        ("run", "closed_form_commuting_hamiltonian"),
+        ("sweep", "continuous_step_sweep"),
+        ("run", "continuous_sampled_path"),
+        ("run", "continuous_mode_basis"),
     ],
 )
 def test_committed_scenario_csv_sha256_unchanged(tmp_path, command, name):
     config = str(SCENARIOS / f"{name}.json")
     assert main([command, config, "--quiet", "--out", str(tmp_path)]) == 0
+    key = f"{command} {name}" if f"{command} {name}" in COMMITTED_SUMMARY_SHA256 else name
     csvs = list(tmp_path.glob("*.csv"))
     assert [hashlib.sha256(c.read_bytes()).hexdigest() for c in csvs] == (
-        [COMMITTED_CSV_SHA256[name]] if name in COMMITTED_CSV_SHA256 else []
+        [COMMITTED_CSV_SHA256[key]] if key in COMMITTED_CSV_SHA256 else []
     )
     summary = json.loads((tmp_path / f"{name}_summary.json").read_text())
     del summary["duration_seconds"], summary["files"]
     digest = hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
-    assert digest == COMMITTED_SUMMARY_SHA256[name]
+    assert digest == COMMITTED_SUMMARY_SHA256[key]
