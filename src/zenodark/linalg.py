@@ -80,7 +80,8 @@ def require_unit(v, tol: ToleranceProfile = DEFAULT, name: str = "state") -> np.
     to machine precision rather than to the validation tolerance.
     """
     arr = as_state(v)
-    nrm = float(np.linalg.norm(arr))
+    with np.errstate(over="ignore"):  # a norm past the float range fails below
+        nrm = float(np.linalg.norm(arr))
     if abs(nrm - 1.0) > tol.unit_state:
         raise NormalizationError(
             f"{name} must be unit-norm: ||v|| = {nrm:.12g} deviates by more "

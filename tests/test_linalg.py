@@ -157,3 +157,10 @@ def test_non_finite_entries_rejected(bad):
         as_state([1.0, bad])
     with pytest.raises(InputError, match="non-finite"):
         as_operator([[0.0, bad], [bad, 0.0]])
+
+
+def test_huge_entries_fail_the_unit_check_without_overflow():
+    # a finite entry of 1e308 overflowed the norm, a RuntimeWarning before
+    # the NormalizationError (found by the scenario fuzz on a generator path)
+    with pytest.raises(NormalizationError, match="inf"):
+        zd.linalg.require_unit([1e308, 1.0, 1.0])
