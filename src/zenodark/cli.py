@@ -18,11 +18,11 @@ A trajectory CSV is written while the run integrates.  The executors read
 each run's windows (:func:`~zenodark.dynamics.window_rows`) once: a window's
 rows go to the CSV and to the command's metrics, then are dropped, so a run
 keeps no rows beyond a window (an inverse design keeps one float per step
-for its geometric phase; an embedded run keeps its arrays, which its
-quasi-static check reads whole).  The CSV is made with the run's first
-window, after the run's own checks have passed.  A command that fails
-removes every file it wrote, and every directory it made, before it returns
-its exit code.
+for its geometric phase; an embedded run keeps one complex offset per step,
+16 B, for its quasi-static check, and the states of its whole dark
+reference, below).  The CSV is made with the run's first window, after the
+run's own checks have passed.  A command that fails removes every file it
+wrote, and every directory it made, before it returns its exit code.
 
 Sweep points run one after another in the calling thread and are reported in
 the order the scenario lists them.  No sweep point keeps a trajectory.  An
@@ -57,15 +57,14 @@ from .dynamics import (
     cyclic_return_fidelity,
     require_step_count,
     step_count,
-    windows,
     zeno_spectrum,
 )
-from .embedding import MAX_PHASE_STEP, _embedded_windows, adiabatic_alpha_check, embedded_run
+from .embedding import MAX_PHASE_STEP, _embedded_windows, _QuasiStatic
 from .errors import CommutatorError, ConfigError, InputError, PhysicsError, UnsupportedVariantError
 from .paths import period_of, require_generator
 from .scenario import Scenario, load_scenario
 from .tolerances import PROFILES, ToleranceProfile
-from .trajectory import _dark_columns, _RowWriter, write_rows
+from .trajectory import _dark_columns, _embedded_blocks, _embedded_columns, _RowWriter, write_rows
 
 __all__ = ["RunReport", "run_scenario", "run_sweep", "run_spectrum", "run_design", "main"]
 
@@ -170,7 +169,7 @@ def _dark_windows(output: _Output, produced, dim: int):
 _REFERENCE_DT = 1.25e-4
 
 
-def _dark_deviations(scenario: Scenario, tol: ToleranceProfile, points, keep: bool = False):
+def _dark_deviations(scenario: Scenario, tol: ToleranceProfile, points, seen=None):
     """Embedded run at each ``(E, dt)`` point and its deviation from the dark run.
 
     A point's reference is the dark run at ``dt`` refined to a step at or
@@ -183,9 +182,9 @@ def _dark_deviations(scenario: Scenario, tol: ToleranceProfile, points, keep: bo
     but samples no grid and computes no norms or overlaps, so its states are
     bitwise that run's.  An embedded run makes its first window (and so
     passes its own checks) before its reference is integrated, and is
-    compared with it a window at a time.  Yields ``(index, trajectory,
-    deviation)`` grouped by refined step count; the trajectory is the
-    :func:`embedded_run` with ``keep``, else None, and no rows are kept.
+    compared with it a window at a time, each window passed first to
+    ``seen(start, times, [full, dark, alpha])`` if given.  Yields ``(index,
+    deviation)`` grouped by refined step count; no rows are kept.
     """
     run = scenario.run
     psi0, path, H = scenario.initial_state, scenario.path, scenario.hamiltonian
@@ -199,21 +198,17 @@ def _dark_deviations(scenario: Scenario, tol: ToleranceProfile, points, keep: bo
         reference = None  # drops the previous count's reference before this one's
         for i, refine in members:
             energy, dt = points[i]
-            if keep:
-                traj = embedded_run(psi0, path, energy, run.T, dt, tol=tol)
-                dark = (traj.dark_states[a:b] for a, b in windows(traj.times.size, traj.dim))
-            else:
-                traj, (_, produced) = None, _embedded_windows(psi0, path, energy, run.T, dt, tol)
-                produced = itertools.chain([next(produced)], produced)
-                dark = (rows[1] for _, _, rows in produced)
+            _, produced = _embedded_windows(psi0, path, energy, run.T, dt, tol)
+            produced = itertools.chain([next(produced)], produced)
             if reference is None:
                 [reference] = _continuous_rows(psi0, path, H, run.T, step, tol, grid=False)
-            gap, start = 0.0, 0
-            for rows in dark:
-                end = start + rows.shape[0]
-                rows = rows - reference[start * refine : end * refine : refine]
-                gap, start = max(gap, float(np.linalg.norm(rows, axis=1).max())), end
-            yield i, traj, gap
+            gap = 0.0
+            for start, times, rows in produced:
+                if seen is not None:
+                    seen(start, times, rows)
+                dark = rows[1] - reference[start * refine : (start + times.size) * refine : refine]
+                gap = max(gap, float(np.linalg.norm(dark, axis=1).max()))
+            yield i, gap
 
 
 def _execute_run(scenario: Scenario, tol: ToleranceProfile, output: _Output):
@@ -285,16 +280,24 @@ def _execute_run(scenario: Scenario, tol: ToleranceProfile, output: _Output):
         return run.mode, metrics, {}
 
     if run.mode == "embedded":
-        [(_, traj, deviation)] = _dark_deviations(scenario, tol, [(run.E, run.dt)], keep=True)
+        quasi_static = _QuasiStatic(path, run.E, run.dt, step_count(run.T, run.dt, dim) + 1)
+        columns, full_max = _embedded_columns(dim), 0.0
+
+        def seen(start, times, rows):
+            nonlocal full_max
+            full, dark, alpha = rows
+            output.rows(columns, *_embedded_blocks(times, dark, alpha))
+            full_max = np.maximum(full_max, np.abs(1.0 - np.linalg.norm(full, axis=1)).max())
+            quasi_static.add(start, times, dark, alpha)
+
+        [(_, deviation)] = _dark_deviations(scenario, tol, [(run.E, run.dt)], seen)
         metrics = {
             "E": run.E,
             "dt": run.dt,
             "deviation_from_dark": deviation,
-            "alpha_quasi_static_residual": float(adiabatic_alpha_check(traj, path)),
-            "max_full_norm_deviation": float(np.abs(1.0 - traj.full_norms).max()),
+            "alpha_quasi_static_residual": quasi_static.result(),
+            "max_full_norm_deviation": float(full_max),
         }
-        if "csv" in output.formats:
-            traj.write_csv(output.open("trajectory.csv"))
         return run.mode, metrics, {}
 
     # run.mode == "inverse": load_scenario has checked the path is designed
@@ -374,7 +377,7 @@ def _execute_sweep(scenario: Scenario, tol: ToleranceProfile, output: _Output):
     if sweep.parameter == "E":
         # deviation from the dark run at a step resolving each E
         points = [(E, _resolving_step(scenario, E)) for E in values]
-        deviations = {i: d for i, _, d in _dark_deviations(scenario, tol, points)}
+        deviations = dict(_dark_deviations(scenario, tol, points))
         metrics = [deviations[i] for i in range(len(values))]
     else:
         metrics = [_sweep_metric(scenario, tol, sweep.parameter, v) for v in values]

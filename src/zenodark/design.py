@@ -54,7 +54,6 @@ __all__ = [
     "mode_design",
     "parallel_transport_residual",
     "pancharatnam_phase",
-    "phase_diagnostics",
 ]
 
 
@@ -309,13 +308,6 @@ def mode_design(
     return traj, ModePath(amplitudes, traj.frequencies, tol=tol)
 
 
-def _times_states(traj):
-    if hasattr(traj, "times") and hasattr(traj, "states"):
-        return np.asarray(traj.times), np.asarray(traj.states)
-    times, states = traj
-    return np.asarray(times, dtype=float), np.asarray(states)
-
-
 def parallel_transport_residual(traj) -> float:
     """Discrete proxy for ``|<psi|psidot>|`` along a trajectory.
 
@@ -326,7 +318,7 @@ def parallel_transport_residual(traj) -> float:
     expectation for free evolution.
     """
     # defined whatever the overlaps, so read with no phase floor
-    return phase_diagnostics(traj, replace(DEFAULT, overlap_phase_floor=0.0))[0]
+    return _phase_diagnostics(traj, replace(DEFAULT, overlap_phase_floor=0.0))[0]
 
 
 def pancharatnam_phase(traj, tol: ToleranceProfile = DEFAULT) -> float:
@@ -342,11 +334,11 @@ def pancharatnam_phase(traj, tol: ToleranceProfile = DEFAULT) -> float:
     UndefinedPhaseError
         If any consecutive overlap magnitude falls below the phase floor.
     """
-    return phase_diagnostics(traj, tol)[1]
+    return _phase_diagnostics(traj, tol)[1]
 
 
 class _PhaseSum:
-    """:func:`phase_diagnostics` read a few rows at a time, as a run makes them.
+    """:func:`_phase_diagnostics` read a few rows at a time, as a run makes them.
 
     :meth:`add` takes the next rows, and their times, of a run of ``rows``
     rows (at least two, the first call's at least two), and carries the last
@@ -393,13 +385,11 @@ class _PhaseSum:
         return self.transport, float(np.angle(np.exp(1j * total)))
 
 
-def phase_diagnostics(traj, tol: ToleranceProfile = DEFAULT) -> tuple[float, float]:
-    """Parallel-transport residual and Pancharatnam phase from one overlap pass.
-
-    Returns ``(parallel_transport_residual(traj), pancharatnam_phase(traj,
-    tol))``, reading every consecutive overlap once, a window at a time.
-    """
-    times, states = _times_states(traj)
+def _phase_diagnostics(traj, tol: ToleranceProfile) -> tuple[float, float]:
+    """``(transport residual, Pancharatnam phase)`` of a trajectory, or of a
+    ``(times, states)`` pair, from one overlap pass, a window at a time."""
+    times, states = (traj.times, traj.states) if hasattr(traj, "states") else traj
+    times, states = np.asarray(times, dtype=float), np.asarray(states)
     if states.shape[0] < 2:
         return 0.0, 0.0
     phases = _PhaseSum(states.shape[0])

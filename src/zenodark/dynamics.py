@@ -63,9 +63,9 @@ __all__ = [
 
 # Longest run accepted: a library run keeps its state and four floats per
 # step (80 B at N = 3), about 0.9 GB for 10^7 steps.  The CLI keeps no rows
-# of a dark run (it writes each window as it is made) and 8 B per step of a
-# design run.  The same budget bounds steps x N, so a larger N allows
-# proportionally fewer steps.
+# of a dark run, 8 B per step of a design run and 16 B per step of an
+# embedded run, besides its dark reference.  The same budget bounds steps x
+# N, so a larger N allows proportionally fewer steps.
 MAX_STEPS = 10_000_000
 MAX_STEP_ROWS = 3 * MAX_STEPS
 
@@ -113,6 +113,20 @@ def run_windows(steps: int, produced) -> list[np.ndarray]:
         for o, r in zip(out, rows):
             o[start : start + r.shape[0]] = r
     return out
+
+
+def _dark_trajectory(steps: int, produced, mode: str, step: float) -> DarkTrajectory:
+    """The windows of a run, rows ``[states, norms, orth]``, collected into a trajectory."""
+    states, norms, orth = run_windows(steps, produced)
+    return DarkTrajectory(
+        times=step * np.arange(steps + 1),
+        states=states,
+        norms=norms,
+        survival_probability=norms**2,
+        orthogonality_residual=orth,
+        mode=mode,
+        step=float(step),
+    )
 
 
 def require_step_count(count: float, T: float, dt: float, dim: int) -> int:
@@ -208,17 +222,7 @@ def discrete_dark_run(
         If the initial state has a component on ``f(tau)`` beyond the setup
         tolerance plus the one-step drift allowance.
     """
-    M, produced = _discrete_windows(psi0, path, H, tau, M, tol)
-    states, norms, orth = run_windows(M, produced)
-    return DarkTrajectory(
-        times=tau * np.arange(M + 1),
-        states=states,
-        norms=norms,
-        survival_probability=norms**2,
-        orthogonality_residual=orth,
-        mode="discrete",
-        step=float(tau),
-    )
+    return _dark_trajectory(*_discrete_windows(psi0, path, H, tau, M, tol), "discrete", tau)
 
 
 def effective_hamiltonian(H, f, fdot, tol: ToleranceProfile = DEFAULT) -> np.ndarray:
@@ -296,16 +300,8 @@ def continuous_dark_run(
     OrthogonalityError
         If ``<f(0)|psi0>`` exceeds the setup tolerance.
     """
-    states, norms, orth = _continuous_rows(psi0, path, H, T, dt, tol, grid=True)
-    return DarkTrajectory(
-        times=dt * np.arange(states.shape[0]),
-        states=states,
-        norms=norms,
-        survival_probability=norms**2,
-        orthogonality_residual=orth,
-        mode="continuous",
-        step=float(dt),
-    )
+    produced = _continuous_windows(psi0, path, H, T, dt, tol, grid=True)
+    return _dark_trajectory(*produced, "continuous", dt)
 
 
 def _commuting_setup(psi0, H, K, f0, tol: ToleranceProfile):
@@ -433,17 +429,7 @@ def closed_form_run(
     The path must carry a generator (a generator or mode path) commuting
     with ``H``.
     """
-    steps, produced = _closed_form_windows(psi0, path, H, T, dt, tol)
-    states, norms, orth = run_windows(steps, produced)
-    return DarkTrajectory(
-        times=dt * np.arange(steps + 1),
-        states=states,
-        norms=norms,
-        survival_probability=norms**2,
-        orthogonality_residual=orth,
-        mode="continuous",
-        step=float(dt),
-    )
+    return _dark_trajectory(*_closed_form_windows(psi0, path, H, T, dt, tol), "continuous", dt)
 
 
 def cyclic_return_fidelity(spectrum: ZenoSpectrum, T: float | None) -> float:

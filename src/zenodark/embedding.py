@@ -95,6 +95,43 @@ def embedded_run(
     )
 
 
+class _QuasiStatic:
+    """:func:`adiabatic_alpha_check` fed a run of ``rows`` rows a few at a time:
+    :meth:`add` keeps the offsets ``alpha - i <f|psidot>/E`` of the rows from
+    ``start`` (16 B a row) and the largest speed, :meth:`result` averages them."""
+
+    def __init__(self, path: MonitoredPath, energy: float, step: float, rows: int):
+        if energy <= 0.0:
+            raise InputError("adiabatic comparison needs a positive energy shift")
+        self.path, self.energy, self.step = path, energy, step
+        self.offsets, self.speed = np.empty(rows, np.complex128), 0.0
+
+    def add(self, start: int, times, dark, alpha) -> None:
+        # <f|psi_dark> = 0 at every t, so <f|psidot_dark> = -<fdot|psi_dark>
+        f_grid, fdot_grid = self.path.evaluate_many(times)
+        coupling = -np.einsum("ij,ij->i", fdot_grid.conj(), dark)
+        self.offsets[start : start + times.size] = alpha - 1j * coupling / self.energy
+        rate = np.einsum("ij,ij->i", f_grid.conj(), fdot_grid)
+        self.speed = max(self.speed, float(np.abs(coupling).max()), float(np.abs(rate).max()))
+
+    def result(self) -> float:
+        window = max(1, int(round(8.0 * np.pi / self.energy / self.step))) | 1
+        if window > self.offsets.size:
+            raise ResolutionError(
+                f"{self.offsets.size} rows are fewer than one averaging window of {window} "
+                f"points (8 pi / E = {8.0 * np.pi / self.energy:.3g}); run for longer"
+            )
+        if self.speed > 0.0 and self.energy / self.speed < 10.0:
+            warnings.warn(
+                f"scale separation E / speed = {self.energy / self.speed:.2f} below 10; "
+                "the quasi-static comparison may be unreliable",
+                RegimeWarning,
+                stacklevel=3,
+            )
+        smooth, interior = moving_average(self.offsets, window)
+        return float(np.abs(smooth[interior]).max())
+
+
 def adiabatic_alpha_check(traj: EmbeddedTrajectory, path: MonitoredPath) -> float:
     """Residual of the quasi-static solution ``alpha = i <f|psidot>/E``.
 
@@ -109,29 +146,7 @@ def adiabatic_alpha_check(traj: EmbeddedTrajectory, path: MonitoredPath) -> floa
     is below ten, and :class:`ResolutionError` raised when the run has fewer
     rows than one window, so that no window is fully covered.
     """
-    if traj.energy <= 0.0:
-        raise InputError("adiabatic comparison needs a positive energy shift")
-    window = max(1, int(round(8.0 * np.pi / traj.energy / traj.step))) | 1
-    if window > traj.times.size:
-        raise ResolutionError(
-            f"{traj.times.size} rows are fewer than one averaging window of {window} "
-            f"points (8 pi / E = {8.0 * np.pi / traj.energy:.3g}); run for longer"
-        )
-    # <f|psi_dark> = 0 at every t, so <f|psidot_dark> = -<fdot|psi_dark>
-    target, speed = np.empty_like(traj.alpha), 0.0
+    check = _QuasiStatic(path, traj.energy, traj.step, traj.times.size)
     for a, b in windows(traj.times.size, traj.dim):
-        f_grid, fdot_grid = path.evaluate_many(traj.times[a:b])
-        coupling = -np.einsum("ij,ij->i", fdot_grid.conj(), traj.dark_states[a:b])
-        target[a:b] = 1j * coupling / traj.energy
-        rate = np.einsum("ij,ij->i", f_grid.conj(), fdot_grid)
-        speed = max(speed, float(np.abs(coupling).max()), float(np.abs(rate).max()))
-    if speed > 0.0 and traj.energy / speed < 10.0:
-        warnings.warn(
-            f"scale separation E / speed = {traj.energy / speed:.2f} below 10; "
-            "the quasi-static comparison may be unreliable",
-            RegimeWarning,
-            stacklevel=2,
-        )
-
-    smooth, interior = moving_average(traj.alpha - target, window)
-    return float(np.abs(smooth[interior]).max())
+        check.add(a, traj.times[a:b], traj.dark_states[a:b], traj.alpha[a:b])
+    return check.result()

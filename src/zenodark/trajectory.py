@@ -50,6 +50,18 @@ def _dark_columns(n: int) -> list[str]:
     return ["t"] + states + ["norm", "survival_prob", "orth_residual"]
 
 
+def _embedded_columns(n: int) -> list[str]:
+    """CSV columns of an :class:`EmbeddedTrajectory` of dimension ``n``."""
+    return _dark_columns(n) + ["re_alpha", "im_alpha"]
+
+
+def _embedded_blocks(times, dark, alpha) -> tuple:
+    """The CSV blocks of an :class:`EmbeddedTrajectory`'s rows: the dark
+    component's columns, its norms derived from it, then alpha's."""
+    norms = np.linalg.norm(dark, axis=1)
+    return times, dark.real, dark.imag, norms, norms**2, np.abs(alpha), alpha.real, alpha.imag
+
+
 # %.17g with array operations.  A finite x with _FAST_MIN <= |x| < _FAST_MAX
 # is written from the 17-digit integer D = round(|x| * 10**(16 - X)) in
 # [10**16, 10**17) and its decimal exponent X.  The scaled value is the
@@ -458,7 +470,7 @@ class EmbeddedTrajectory:
         return np.linalg.norm(self.dark_states, axis=1)
 
     def csv_columns(self) -> list[str]:
-        return _dark_columns(self.dim) + ["re_alpha", "im_alpha"]
+        return _embedded_columns(self.dim)
 
     def write_csv(self, stream) -> None:
         """Serialize the dark component; alpha columns carry the remainder.
@@ -470,9 +482,6 @@ class EmbeddedTrajectory:
         writer = _RowWriter(stream, columns)
         block_rows = max(1, _CSV_BLOCK_VALUES // len(columns))
         for a in range(0, self.times.size, block_rows):
-            rows = slice(a, a + block_rows)
-            dark, alpha = self.dark_states[rows], self.alpha[rows]
-            norms = np.linalg.norm(dark, axis=1)
-            floats = (norms, norms**2, np.abs(alpha), alpha.real, alpha.imag)
-            writer.write(self.times[rows], dark.real, dark.imag, *floats)
+            b = a + block_rows
+            writer.write(*_embedded_blocks(self.times[a:b], self.dark_states[a:b], self.alpha[a:b]))
         writer.close()
