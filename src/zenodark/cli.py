@@ -37,7 +37,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import sys
 import time
@@ -154,13 +153,17 @@ def _dark_windows(output: _Output, produced, dim: int):
     """Write each window of a dark run to the trajectory CSV and yield it.
 
     ``produced`` yields a run's :func:`~zenodark.dynamics.window_rows` with
-    rows ``[states, norms, orth]``; yields ``(times, states, norms, orth)``.
-    The CSV holds :class:`~zenodark.trajectory.DarkTrajectory`'s columns.
+    rows ``[states, norms, orth]``; yields ``(times, states, norms, orth_max,
+    deviation)``, the last two the run's largest overlap and ``|1 - norm|`` so
+    far.  The CSV holds :class:`~zenodark.trajectory.DarkTrajectory`'s columns.
     """
     columns = _dark_columns(dim)
+    orth_max = deviation = 0.0
     for _, times, (states, norms, orth) in produced:
         output.rows(columns, times, states.real, states.imag, norms, norms**2, orth)
-        yield times, states, norms, orth
+        orth_max = np.maximum(orth_max, orth.max())
+        deviation = np.maximum(deviation, np.abs(1.0 - norms).max())
+        yield times, states, norms, orth_max, deviation
         del times, states, norms, orth  # not held while the next window is made
 
 
@@ -180,9 +183,9 @@ def _dark_deviations(scenario: Scenario, tol: ToleranceProfile, points, seen=Non
     the last bit.  The reference keeps its states only: it runs the windows
     and kernel of :func:`continuous_dark_run`, with the same input checks,
     but samples no grid and computes no norms or overlaps, so its states are
-    bitwise that run's.  An embedded run makes its first window (and so
-    passes its own checks) before its reference is integrated, and is
-    compared with it a window at a time, each window passed first to
+    bitwise that run's.  An embedded run passes its own checks when its
+    producer is made, before its reference is integrated, and is compared
+    with the reference a window at a time, each window passed first to
     ``seen(start, times, [full, dark, alpha])`` if given.  Yields ``(index,
     deviation)`` grouped by refined step count; no rows are kept.
     """
@@ -199,7 +202,6 @@ def _dark_deviations(scenario: Scenario, tol: ToleranceProfile, points, seen=Non
         for i, refine in members:
             energy, dt = points[i]
             _, produced = _embedded_windows(psi0, path, energy, run.T, dt, tol)
-            produced = itertools.chain([next(produced)], produced)
             if reference is None:
                 [reference] = _continuous_rows(psi0, path, H, run.T, step, tol, grid=False)
             gap = 0.0
@@ -221,9 +223,8 @@ def _execute_run(scenario: Scenario, tol: ToleranceProfile, output: _Output):
     if run.mode == "discrete":
         M = run.M if run.M is not None else step_count(run.T, run.tau, dim)
         M, produced = _discrete_windows(psi0, path, H, run.tau, M, tol)
-        orth_max = 0.0
-        for _, _, norms, orth in _dark_windows(output, produced, dim):
-            orth_max = np.maximum(orth_max, orth.max())
+        for _, _, norms, orth_max, _ in _dark_windows(output, produced, dim):
+            pass
         survival = norms[-1:] ** 2
         metrics = {
             "tau": run.tau,
@@ -237,10 +238,8 @@ def _execute_run(scenario: Scenario, tol: ToleranceProfile, output: _Output):
 
     if run.mode == "continuous":
         _, produced = _continuous_windows(psi0, path, H, run.T, run.dt, tol, grid=True)
-        deviation = orth_max = 0.0
-        for times, states, norms, orth in _dark_windows(output, produced, dim):
-            deviation = np.maximum(deviation, np.abs(1.0 - norms).max())
-            orth_max = np.maximum(orth_max, orth.max())
+        for times, states, norms, orth_max, deviation in _dark_windows(output, produced, dim):
+            pass
         metrics = {
             "dt": run.dt,
             "final_norm": float(norms[-1]),
@@ -263,13 +262,12 @@ def _execute_run(scenario: Scenario, tol: ToleranceProfile, output: _Output):
         # the closed form and the integrator in lockstep, window by window
         _, produced = _closed_form_windows(psi0, path, H, run.T, run.dt, tol)
         _, integrated = _continuous_windows(psi0, path, H, run.T, run.dt, tol, grid=False)
-        orth_max, smallest = 0.0, np.inf
-        for (_, states, norms, orth), (_, _, [other]) in zip(
+        smallest = np.inf
+        for (_, states, norms, orth_max, _), (_, _, [other]) in zip(
             _dark_windows(output, produced, dim), integrated
         ):
             overlaps = np.abs(np.einsum("ij,ij->i", states.conj(), other))
             smallest = np.minimum(smallest, overlaps.min())
-            orth_max = np.maximum(orth_max, orth.max())
         metrics = {
             "dt": run.dt,
             "final_norm": float(norms[-1]),
@@ -307,7 +305,7 @@ def _execute_run(scenario: Scenario, tol: ToleranceProfile, output: _Output):
     psi_start = target.state_at(0.0)
     _, produced = _continuous_windows(psi_start, path, H, run.T, run.dt, tol, grid=True)
     phases, worst = _PhaseSum(steps + 1), np.inf
-    for times, states, _, _ in _dark_windows(output, produced, dim):
+    for times, states, *_ in _dark_windows(output, produced, dim):
         fidelities = np.abs(np.einsum("ij,ij->i", target.states_on(times).conj(), states))
         worst = np.minimum(worst, fidelities.min())
         phases.add(times, states)
@@ -350,10 +348,8 @@ def _sweep_metric(scenario: Scenario, tol: ToleranceProfile, parameter: str, val
             pass
         return float(1.0 - (norms[-1:] ** 2)[0])
 
-    # parameter == "dt": the gap to the closed form, one window at a time;
-    # the first window checks the run's setup before the closed form's
+    # parameter == "dt": the gap to the closed form, one window at a time
     _, produced = _continuous_windows(psi0, path, H, run.T, value, tol, grid=False)
-    produced = itertools.chain([next(produced)], produced)
     gen = require_generator(path)
     exact = closed_form_states(psi0, H, gen.generator, gen.initial_state, tol)
     return max(

@@ -42,6 +42,7 @@ from .linalg import (
     hermitian_eigendecomposition,
     require_hermitian,
     require_unit,
+    row_norms_and_overlaps,
     row_products,
     unitary_exp,
 )
@@ -180,7 +181,7 @@ def require_orthogonal(f, psi0, tol: ToleranceProfile = DEFAULT, drift: float = 
 
 def _discrete_windows(psi0, path: MonitoredPath, H, tau: float, M: int, tol: ToleranceProfile):
     """Checks, then ``(M, windows)``: the step count and the run's
-    :func:`window_rows`, rows ``[states, norms, orth]``."""
+    :func:`window_rows`, rows ``[states, norms, orth]`` (row 0's overlap 0)."""
     psi0 = require_unit(psi0, tol, name="initial state")
     H = require_hermitian(H, tol, name="hamiltonian")
     if not 0.0 < tau < np.inf:
@@ -190,14 +191,15 @@ def _discrete_windows(psi0, path: MonitoredPath, H, tau: float, M: int, tol: Tol
     duration = M * tau if abs(M) <= MAX_STEPS else np.nan
     M = require_step_count(M, duration, tau, psi0.size)
     U = unitary_exp(H, tau, tol)
+    f, fdot = path.evaluate(tau)
+    require_orthogonal(f, psi0, tol, drift=2.0 * tau * float(np.linalg.norm(fdot)))
 
     def advance(a, b, psi):
-        f_seq, fdot_seq = path.evaluate_many(tau * np.arange(a + 1, b + 1))
-        if a == 0:
-            drift = 2.0 * tau * float(np.linalg.norm(fdot_seq[0]))
-            require_orthogonal(f_seq[0], psi0, tol, drift=drift)
-        del fdot_seq  # the kernel reads f only
-        return kernels.discrete_loop(U, f_seq, psi)
+        # f of each row; the window's first row is not measured: overlap 0
+        f = np.zeros((b - a + 1, psi.size), np.complex128)
+        f[1:] = path.evaluate_many(tau * np.arange(a + 1, b + 1))[0]
+        states = kernels.discrete_loop(U, f[1:], psi)
+        return [states, *row_norms_and_overlaps(f, states)]
 
     return M, window_rows(psi0, M, tau, advance)
 
@@ -250,8 +252,8 @@ def _continuous_windows(
     """Checks, then ``(steps, windows)``: the exponential-midpoint run's
     :func:`window_rows`.
 
-    Checks ``psi0`` (unit), ``H`` (Hermitian) and the step count; the first
-    window checks ``<f(0)|psi0>``.  Each window samples ``f`` and ``fdot`` at
+    Checks ``psi0`` (unit), ``H`` (Hermitian), the step count and
+    ``<f(0)|psi0>`` when called.  Each window samples ``f`` and ``fdot`` at
     its midpoints for the continuous kernel.  Rows are ``[states]``; with
     ``grid``, the path is also sampled on the grid and ``[states, norms,
     orth]`` holds the norms and the overlaps ``|<f(t)|psi(t)>|``.
@@ -259,13 +261,16 @@ def _continuous_windows(
     psi0 = require_unit(psi0, tol, name="initial state")
     H = np.ascontiguousarray(require_hermitian(H, tol, name="hamiltonian"))
     steps = step_count(T, dt, psi0.size)
+    require_orthogonal(path.evaluate(0.0)[0], psi0, tol)
 
     def advance(a, b, psi):
-        f_grid = path.evaluate_many(dt * np.arange(a, b + 1))[0] if grid else None
         f_mid, fdot_mid = path.evaluate_many(dt * (np.arange(a, b) + 0.5))
-        if a == 0:
-            require_orthogonal(f_grid[0] if grid else path.evaluate(0.0)[0], psi0, tol)
-        return kernels.continuous_loop(H, f_grid, f_mid, fdot_mid, psi, float(dt))
+        states = kernels.continuous_loop(H, f_mid, fdot_mid, psi, float(dt))
+        if not grid:
+            return [states]
+        del f_mid, fdot_mid  # not held while the grid is sampled
+        f_grid = path.evaluate_many(dt * np.arange(a, b + 1))[0]
+        return [states, *row_norms_and_overlaps(f_grid, states)]
 
     return steps, window_rows(psi0, steps, dt, advance)
 

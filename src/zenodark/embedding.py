@@ -48,12 +48,11 @@ def _embedded_windows(
             f"dt = {dt:g} too coarse for energy {energy:g}: need dt <= "
             f"{MAX_PHASE_STEP / energy:g} to resolve the fast phase"
         )
+    require_orthogonal(path.evaluate(0.0)[0], psi0, tol)
 
     def advance(a, b, psi):
         f_grid = path.evaluate_many(dt * np.arange(a, b + 1))[0]
         f_mid = path.evaluate_many(dt * (np.arange(a, b) + 0.5))[0]
-        if a == 0:
-            require_orthogonal(f_grid[0], psi0, tol)
         full = kernels.embedded_loop(f_mid, psi, float(energy), float(dt))
         alpha = np.einsum("ij,ij->i", f_grid.conj(), full)
         return full, full - alpha[:, None] * f_grid, alpha

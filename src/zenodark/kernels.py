@@ -26,9 +26,8 @@ sequential pass over the block starts and one batched product for all the
 states.  Blocks start at chunk starts and their length depends on ``n``
 only, so the first k states of a run are bitwise those of a k-step run.
 They agree with a plain per-step loop to rounding (about 1e-14 after
-thousands of steps), not bit for bit.  Norms and overlaps, where a loop is
-given the grid they need, are filled per chunk by
-``linalg.row_norms_and_overlaps``.
+thousands of steps), not bit for bit.  Each loop returns its ``(steps + 1,
+n)`` states only; the runs take their own norms and overlaps.
 
 ``python3 perfbench/run.py`` times the loops inside full CLI runs.
 """
@@ -39,8 +38,6 @@ from fractions import Fraction
 from math import factorial, isqrt
 
 import numpy as np
-
-from .linalg import row_norms_and_overlaps
 
 # Bytes of one complex (k, n, n) stack per chunk: bounds the chunk's
 # temporaries independently of the run length.
@@ -210,28 +207,18 @@ def _propagate(u, psi, block):
     return (prod.reshape(nb, block * n, n) @ starts).reshape(nb * block, n)[:k]
 
 
-def _evolve(psi0, steps, propagators, f_after=None):
-    # (states,) with states[j + 1] = u[j] ... u[0] psi0, propagators(a, b)
-    # building u[a:b] chunk by chunk; with f_after, (states, norms, orth)
-    # with the overlaps |<f_after[j]|states[j + 1]>| (norms[0] is filled,
-    # orth[0] is left to the caller)
+def _evolve(psi0, steps, propagators):
+    # states[j + 1] = u[j] ... u[0] psi0, propagators(a, b) building u[a:b]
+    # chunk by chunk
     n = psi0.shape[0]
     states = np.empty((steps + 1, n), dtype=np.complex128)
     states[0] = psi0
-    if f_after is not None:
-        norms = np.empty(steps + 1)
-        orth = np.empty(steps + 1)
-        norms[0] = np.linalg.norm(psi0)
     chunk = _chunk_steps(n)
     block = isqrt(chunk)
     for a in range(0, steps, chunk):
         b = min(a + chunk, steps)
         states[a + 1 : b + 1] = _propagate(propagators(a, b), states[a], block)
-        if f_after is not None:
-            norms[a + 1 : b + 1], orth[a + 1 : b + 1] = row_norms_and_overlaps(
-                f_after[a:b], states[a + 1 : b + 1]
-            )
-    return (states,) if f_after is None else (states, norms, orth)
+    return states
 
 
 def discrete_loop(U, f_seq, psi0):
@@ -242,17 +229,14 @@ def discrete_loop(U, f_seq, psi0):
     def propagators(a, b):
         return (eye - _outer(f_seq[a:b], f_seq[a:b])) @ U
 
-    states, norms, orth = _evolve(psi0, f_seq.shape[0], propagators, f_seq)
-    orth[0] = 0.0
-    return states, norms, orth
+    return _evolve(psi0, f_seq.shape[0], propagators)
 
 
-def continuous_loop(H, f_grid, f_mid, fdot_mid, psi0, dt):
+def continuous_loop(H, f_mid, fdot_mid, psi0, dt):
     # one step: psi <- exp(-i H_D(t + dt/2) dt) psi with
     # H_D = P H P + i(|fdot><f| - |f><fdot|), P = 1 - |f><f|, all at midpoint:
     # the closed-form rotation for H = 0, otherwise the Taylor exponential
-    # with each step's own plan.  Without f_grid (None) it returns (states,)
-    # and no norms or overlaps.
+    # with each step's own plan
     transport = not np.any(H)
 
     def propagators(a, b):
@@ -262,11 +246,7 @@ def continuous_loop(H, f_grid, f_mid, fdot_mid, psi0, dt):
         x *= -1j * dt
         return _taylor_exponentials(x)
 
-    if f_grid is None:
-        return _evolve(psi0, f_mid.shape[0], propagators)
-    states, norms, orth = _evolve(psi0, f_mid.shape[0], propagators, f_grid[1:])
-    orth[0] = np.abs(np.vdot(f_grid[0], psi0))
-    return states, norms, orth
+    return _evolve(psi0, f_mid.shape[0], propagators)
 
 
 def embedded_loop(f_mid, psi0, energy, dt):
@@ -277,4 +257,4 @@ def embedded_loop(f_mid, psi0, energy, dt):
     def propagators(a, b):
         return eye + factor * _outer(f_mid[a:b], f_mid[a:b])
 
-    return _evolve(psi0, f_mid.shape[0], propagators)[0]
+    return _evolve(psi0, f_mid.shape[0], propagators)

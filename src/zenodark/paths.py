@@ -95,7 +95,8 @@ class ModePath(MonitoredPath):
             raise InputError("amplitudes and frequencies must be 1-D and of equal length")
         if not (np.isfinite(self.amplitudes).all() and np.isfinite(self.frequencies).all()):
             raise InputError("amplitudes and frequencies must be finite")
-        total = float(np.sum(np.abs(self.amplitudes) ** 2))
+        with np.errstate(over="ignore"):  # a sum past the float range fails below
+            total = float(np.sum(np.abs(self.amplitudes) ** 2))
         if abs(total - 1.0) > tol.path_norm:
             raise InputError(
                 f"mode amplitudes must satisfy sum |a_j|^2 = 1, got {total:.12g}"
@@ -106,8 +107,9 @@ class ModePath(MonitoredPath):
             self.modes = np.asarray(modes, dtype=np.complex128)
             if self.modes.shape[1:] != self.amplitudes.shape or not np.isfinite(self.modes).all():
                 raise InputError("modes must be a finite matrix with one column per amplitude")
-            gram = self.modes.conj().T @ self.modes
-            if np.abs(gram - np.eye(gram.shape[0])).max() > tol.unit_state:
+            with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail below
+                gram = self.modes.conj().T @ self.modes
+            if not np.abs(gram - np.eye(gram.shape[0])).max() <= tol.unit_state:
                 raise InputError("mode vectors must be orthonormal")
         self.dim = self.modes.shape[0]
         self._standard_basis = modes is None
@@ -177,7 +179,8 @@ class SampledPath(MonitoredPath):
             raise InputError("need at least 5 samples")
         if np.any(np.diff(self.times) <= 0):
             raise InputError("sample times must be strictly ascending")
-        norms = np.linalg.norm(self.samples, axis=1)
+        with np.errstate(over="ignore"):  # a norm past the float range fails below
+            norms = np.linalg.norm(self.samples, axis=1)
         worst = float(np.abs(norms - 1.0).max())
         if worst > tol.path_norm:
             raise InputError(

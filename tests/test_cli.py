@@ -158,6 +158,17 @@ class TestRunCommand:
         assert main(["run", cfg, "--quiet"]) == 3
         assert "orthogonal" in capsys.readouterr().err
 
+    def test_orthogonality_is_checked_before_the_path_is_sampled(self, tmp_path, capsys):
+        # two faults: psi0 = f(0), and the first window runs past the samples;
+        # the setup check comes first (exit 2 when it ran inside the window)
+        cfg_dict = json.loads((SCENARIOS / "continuous_sampled_path.json").read_text())
+        cfg_dict["run"]["T"] = 3.0
+        cfg_dict["initial_state"] = cfg_dict["path"]["samples"][0]
+        out = tmp_path / "out"
+        assert main(["run", write(tmp_path, cfg_dict), "--quiet", "--out", str(out)]) == 3
+        assert "orthogonal" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -690,6 +701,27 @@ def test_extreme_phase_rate_exits_2(tmp_path, capsys, name, command):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: run: phase rate bound 1e+308")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, key, entry",
+    [
+        ("continuous_mode_basis", "amplitudes", (0,)),
+        ("continuous_mode_basis", "modes", (0, 0)),
+        ("continuous_sampled_path", "samples", (0, 0)),
+    ],
+)
+def test_huge_finite_path_entry_exits_2(tmp_path, capsys, name, key, entry):
+    # an entry of 1e308 overflowed with a RuntimeWarning before it was rejected
+    cfg_dict = json.loads((SCENARIOS / f"{name}.json").read_text())
+    row = cfg_dict["path"][key]
+    for i in entry[:-1]:
+        row = row[i]
+    row[entry[-1]] = 1e308
+    out = tmp_path / "out"
+    assert main(["run", write(tmp_path, cfg_dict), "--quiet", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
     assert not out.exists()
 
 

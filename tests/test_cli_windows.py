@@ -267,7 +267,7 @@ def test_failure_after_rows_were_written_leaves_no_output(
 
 
 def test_check_before_the_first_window_creates_nothing(tmp_path, monkeypatch, capsys):
-    # the orthogonality check runs with the first window, before any file is made
+    # the orthogonality check runs when the run's producer is made, before any file is made
     def no_file(self, kind):
         raise AssertionError(f"{kind} opened by a failing run")
 

@@ -48,7 +48,7 @@ class TestDiscreteStep:
     def test_full_absorption(self):
         # a run rejects psi = f at setup, so apply the kernel's step directly
         psi = np.array([0.0, 1.0], dtype=complex)
-        out = discrete_loop(np.eye(2, dtype=complex), psi[None], psi)[0][1]
+        out = discrete_loop(np.eye(2, dtype=complex), psi[None], psi)[1]
         np.testing.assert_allclose(out, 0.0, atol=1e-14)
 
     def test_partial_overlap_norm(self):

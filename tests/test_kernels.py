@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import zenodark as zd
 from zenodark import kernels
-from zenodark.linalg import unitary_exp
+from zenodark.dynamics import windows
+from zenodark.linalg import row_norms_and_overlaps, unitary_exp
 from zenodark.scenario import MAX_DIMENSION, MAX_PHASE
 
 from conftest import random_hermitian, random_unit
@@ -84,6 +86,11 @@ def _assert_close(expected, got):
         np.testing.assert_allclose(b, a, rtol=0.0, atol=1e-13, err_msg=name)
 
 
+def _diagnosed(f, states):
+    # a kernel's states with the norms and overlaps a run takes of them
+    return (states, *row_norms_and_overlaps(f, states))
+
+
 def _assert_diagnostics_of_states(f_after, got):
     # norms and overlaps are the per-row np.linalg.norm and np.vdot of the
     # returned states, bit for bit
@@ -97,7 +104,8 @@ def _assert_diagnostics_of_states(f_after, got):
 def test_continuous_loop_matches_reference(rng, n, steps, zero_h):
     H, psi0, f_grid, f_mid, fdot_mid = _problem(rng, n, steps, zero_h)
     expected = _reference_continuous(H, f_grid, f_mid, fdot_mid, psi0, 1e-3)
-    _assert_close(expected, kernels.continuous_loop(H, f_grid, f_mid, fdot_mid, psi0, 1e-3))
+    got = kernels.continuous_loop(H, f_mid, fdot_mid, psi0, 1e-3)
+    _assert_close(expected, _diagnosed(f_grid, got))
 
 
 @pytest.mark.parametrize("n, steps, zero_h", _CASES)
@@ -105,24 +113,45 @@ def test_discrete_loop_matches_reference(rng, n, steps, zero_h):
     H, psi0, f_grid, _, _ = _problem(rng, n, steps, zero_h)
     U = unitary_exp(H + np.eye(n), 0.1)
     expected = _reference_discrete(U, f_grid[1:], psi0)
-    _assert_close(expected, kernels.discrete_loop(U, f_grid[1:], psi0))
+    got = kernels.discrete_loop(U, f_grid[1:], psi0)
+    f_grid[0] = 0.0  # a discrete run measures no f at row 0: its overlap there is 0
+    _assert_close(expected, _diagnosed(f_grid, got))
+
+
+def _run_problem(rng, n, zero_h):
+    # H, a generator path and an initial state orthogonal to f(0)
+    H = np.zeros((n, n), dtype=np.complex128) if zero_h else random_hermitian(rng, n)
+    path = zd.GeneratorPath(random_hermitian(rng, n), random_unit(rng, n))
+    f0 = path.evaluate(0.0)[0]
+    psi0 = random_unit(rng, n)
+    psi0 -= np.vdot(f0, psi0) * f0
+    return H, path, psi0 / np.linalg.norm(psi0)
 
 
 # The states agree with the per-step loops to rounding only; the diagnostics
-# the kernels report for them are still bitwise the per-row reference.
-@pytest.mark.parametrize("n, steps, zero_h", _CASES)
+# the runs report for them are still bitwise the per-row reference, also
+# across windows
+_WIDTH = windows(1 << 20, 3)[0][1]  # steps in one window at N = 3
+_RUN_CASES = _CASES + [(3, 2 * _WIDTH + 5, zero_h) for zero_h in (True, False)]
+
+
+@pytest.mark.parametrize("n, steps, zero_h", _RUN_CASES)
 def test_continuous_loop_matches_reference_bitwise(rng, n, steps, zero_h):
-    H, psi0, f_grid, f_mid, fdot_mid = _problem(rng, n, steps, zero_h)
-    got = kernels.continuous_loop(H, f_grid, f_mid, fdot_mid, psi0, 1e-3)
+    H, path, psi0 = _run_problem(rng, n, zero_h)
+    traj = zd.continuous_dark_run(psi0, path, H, steps * 1e-3, 1e-3)
+    f_grid = path.evaluate_many(traj.times)[0]
+    got = (traj.states, traj.norms, traj.orthogonality_residual)
     _assert_diagnostics_of_states(f_grid[1:], got)
-    assert got[2][0] == np.abs(np.vdot(f_grid[0], psi0))
+    assert got[2][0] == np.abs(np.vdot(f_grid[0], traj.states[0]))
 
 
-@pytest.mark.parametrize("n, steps, zero_h", _CASES)
+@pytest.mark.parametrize("n, steps, zero_h", _RUN_CASES)
 def test_discrete_loop_matches_reference_bitwise(rng, n, steps, zero_h):
-    H, psi0, f_grid, _, _ = _problem(rng, n, steps, zero_h)
-    got = kernels.discrete_loop(unitary_exp(H + np.eye(n), 0.1), f_grid[1:], psi0)
-    _assert_diagnostics_of_states(f_grid[1:], got)
+    H, path, psi0 = _run_problem(rng, n, zero_h)
+    traj = zd.discrete_dark_run(psi0, path, H + np.eye(n), 0.1, steps)
+    f_seq = path.evaluate_many(traj.times[1:])[0]
+    got = (traj.states, traj.norms, traj.orthogonality_residual)
+    _assert_diagnostics_of_states(f_seq, got)
     assert got[2][0] == 0.0
 
 
@@ -150,9 +179,9 @@ def test_zero_hamiltonian_step_matches_expm(rng, n):
         scale = 1.0 / max(np.linalg.norm(hd, 2), 1.0)
         for dt in (1e-3, 0.5 * scale, scale):
             psi0 = random_unit(rng, n)
-            got = kernels.continuous_loop(zero, np.stack([f, f]), f[None], fdot[None], psi0, dt)
+            got = kernels.continuous_loop(zero, f[None], fdot[None], psi0, dt)
             expected = scipy.linalg.expm(-1j * hd * dt) @ psi0
-            assert np.abs(got[0][1] - expected).max() <= 1e-14
+            assert np.abs(got[1] - expected).max() <= 1e-14
 
 
 # Worst error over these 420 steps against expm: 1.1e-14 with the earlier
@@ -169,9 +198,9 @@ def test_hamiltonian_step_matches_expm(rng, n):
             for theta in (1e-3, 0.1, 0.45, 3.0, 40.0):
                 dt = theta / np.abs(hd).sum(axis=1).max()
                 psi0 = random_unit(rng, n)
-                got = kernels.continuous_loop(H, np.stack([f, f]), f[None], fdot[None], psi0, dt)
+                got = kernels.continuous_loop(H, f[None], fdot[None], psi0, dt)
                 expected = scipy.linalg.expm(-1j * hd * dt) @ psi0
-                assert np.abs(got[0][1] - expected).max() <= 2e-15 * max(1.0, theta)
+                assert np.abs(got[1] - expected).max() <= 2e-15 * max(1.0, theta)
 
 
 def test_coarse_steps_keep_the_norm(rng):
@@ -184,7 +213,8 @@ def test_coarse_steps_keep_the_norm(rng):
     fdot = rng.standard_normal((steps, n)) + 1j * rng.standard_normal((steps, n))
     for theta in (3.0, 40.0, 1000.0):
         dt = theta / np.abs(H).sum(axis=1).max()
-        norms = kernels.continuous_loop(H, f, f[1:], 0.0 * fdot, random_unit(rng, n), dt)[1]
+        states = kernels.continuous_loop(H, f[1:], 0.0 * fdot, random_unit(rng, n), dt)
+        norms = _diagnosed(f, states)[1]
         assert np.abs(norms - 1.0).max() <= 1e-13
 
 
@@ -229,9 +259,10 @@ def test_continuous_loop_prefix_is_bitwise_across_plans(rng, n):
     x = -1j * 1e-3 * kernels.effective_hamiltonians(H, f_mid[:block], fdot_mid[:block])
     m, q = kernels._taylor_plan(np.abs(x).sum(axis=2).max(axis=1))
     assert len(set(m[q == 0].tolist())) >= 3 and q.max() >= 1
-    full = kernels.continuous_loop(H, f_grid, f_mid, fdot_mid, psi0, 1e-3)
+    full = _diagnosed(f_grid, kernels.continuous_loop(H, f_mid, fdot_mid, psi0, 1e-3))
     for k in (1, block - 1, block, block + 1, chunk - 1, chunk, chunk + 1, chunk + block + 2):
-        part = kernels.continuous_loop(H, f_grid[: k + 1], f_mid[:k], fdot_mid[:k], psi0, 1e-3)
+        states = kernels.continuous_loop(H, f_mid[:k], fdot_mid[:k], psi0, 1e-3)
+        part = _diagnosed(f_grid[: k + 1], states)
         for name, a, b in zip(("states", "norms", "orth"), full, part):
             assert np.array_equal(a[: k + 1], b), (name, k)
 
@@ -243,9 +274,10 @@ def test_continuous_loop_prefix_is_bitwise(rng, n, zero_h):
     block = math.isqrt(chunk)
     steps = 2 * chunk + block + 3
     H, psi0, f_grid, f_mid, fdot_mid = _problem(rng, n, steps, zero_h)
-    full = kernels.continuous_loop(H, f_grid, f_mid, fdot_mid, psi0, 1e-3)
+    full = _diagnosed(f_grid, kernels.continuous_loop(H, f_mid, fdot_mid, psi0, 1e-3))
     for k in (1, block - 1, block, block + 1, chunk - 1, chunk, chunk + 1, chunk + block + 2):
-        part = kernels.continuous_loop(H, f_grid[: k + 1], f_mid[:k], fdot_mid[:k], psi0, 1e-3)
+        states = kernels.continuous_loop(H, f_mid[:k], fdot_mid[:k], psi0, 1e-3)
+        part = _diagnosed(f_grid[: k + 1], states)
         for name, a, b in zip(("states", "norms", "orth"), full, part):
             assert np.array_equal(a[: k + 1], b), (name, k)
 

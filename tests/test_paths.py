@@ -100,6 +100,13 @@ class TestModePath:
         with pytest.raises(InputError):
             zd.ModePath([1.0, 0.0], [0.0, 1.0], modes)
 
+    def test_huge_finite_entries_fail_their_checks_without_overflow(self):
+        # the amplitude sum and the Gram matrix overflowed with a warning first
+        with pytest.raises(InputError, match="sum"):
+            zd.ModePath([1e308, 0.0], [0.0, 1.0])
+        with pytest.raises(InputError, match="orthonormal"):
+            zd.ModePath([1.0, 0.0], [0.0, 1.0], [[1e308, 0.0], [0.0, 1.0]])
+
     def test_generator_equivalence_random_times(self, rng):
         K = random_hermitian(rng, 4)
         f0 = random_unit(rng, 4)
@@ -237,6 +244,11 @@ class TestSampledPath:
             )
         with pytest.raises(InputError):
             zd.SampledPath(np.linspace(0, 1, 5), np.tile([2.0, 0.0], (5, 1)))
+
+    def test_huge_finite_sample_fails_the_norm_check_without_overflow(self):
+        # the sample norms overflowed with a warning before the check rejected them
+        with pytest.raises(InputError, match="unit-norm"):
+            zd.SampledPath(np.linspace(0, 1, 5), np.tile([1e308, 0.0], (5, 1)))
 
 
 class TestPeriod:

@@ -18,7 +18,15 @@ from conftest import commuting_problem, random_unit
 from hypothesis import example, given, settings, strategies as st
 
 import zenodark as zd
-from zenodark.dynamics import windows
+from zenodark.dynamics import (
+    _closed_form_windows,
+    _continuous_windows,
+    _discrete_windows,
+    windows,
+)
+from zenodark.embedding import _embedded_windows
+from zenodark.errors import OrthogonalityError
+from zenodark.tolerances import DEFAULT
 from zenodark.trajectory import write_rows
 
 DT = 1e-3
@@ -144,6 +152,27 @@ def test_windows_cover_the_count_in_whole_kernel_chunks():
         assert all(b == c for (_, b), (c, _) in zip(ranges, ranges[1:]))
         assert all((b - a) % (_WINDOW_CHUNKS * _chunk_steps(n)) == 0 for a, b in ranges[:-1])
     assert window(3) == width
+
+
+PRODUCERS = {
+    "discrete": lambda psi0, path, H: _discrete_windows(psi0, path, H, DT, 10, DEFAULT),
+    "continuous, grid": lambda psi0, path, H: _continuous_windows(
+        psi0, path, H, 10 * DT, DT, DEFAULT, grid=True
+    ),
+    "continuous": lambda psi0, path, H: _continuous_windows(
+        psi0, path, H, 10 * DT, DT, DEFAULT, grid=False
+    ),
+    "closed form": lambda psi0, path, H: _closed_form_windows(psi0, path, H, 10 * DT, DT, DEFAULT),
+    "embedded": lambda psi0, path, H: _embedded_windows(psi0, path, ENERGY, 10 * DT, DT, DEFAULT),
+}
+
+
+@pytest.mark.parametrize("mode", PRODUCERS)
+def test_a_producer_checks_its_setup_when_it_is_made(mode):
+    # an initial state on f(0) fails at the call, before any window is made
+    _, path, H = problem("generator", 3)
+    with pytest.raises(OrthogonalityError):
+        PRODUCERS[mode](path.evaluate(0.0)[0], path, H)
 
 
 def traced_peak(fn):
